@@ -90,7 +90,9 @@
 //! cross-socket fill penalty), one CMM controller instance per CAT
 //! domain, and mixes tiled onto the larger machine by round-robin slot
 //! replication. `--topology 1x8` is a complete no-op: digest, stdout and
-//! journal stay byte-identical to the flagless run.
+//! journal stay byte-identical to the flagless run. `learn`, `faults` and
+//! `governor` simulate one socket only and refuse a multi-socket
+//! `--topology` with exit 2.
 //!
 //! Every run writes a machine-readable perf log (wall-clock, cells/sec,
 //! sim-cycles/sec per target) to `BENCH_sim.json` (see `--bench-json`)
@@ -1090,6 +1092,17 @@ fn report_cell_failures(target: &str, failures: &[CellFailure], ckpt: Option<&Ch
 
 fn main() {
     let args = parse_args();
+    // These targets build single-socket machines of their own: refuse a
+    // multi-socket --topology up front instead of silently running 1x8.
+    if let Some(t) = args.topology.filter(|t| !t.is_single()) {
+        if matches!(args.target.as_str(), "learn" | "faults" | "governor") {
+            eprintln!(
+                "--topology {t}: repro {} runs on one socket only; drop the flag",
+                args.target
+            );
+            std::process::exit(2);
+        }
+    }
     // CI subcommands: pure file processing, no simulation, no perf log.
     // `soak` re-invokes this binary against a scratch dir and gates on
     // byte identity of the converged artifacts.

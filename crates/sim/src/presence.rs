@@ -26,7 +26,8 @@
 //! keys, Fibonacci multiplicative hashing (no SipHash), linear probing,
 //! and backward-shift deletion (no tombstones). The table only grows —
 //! the working set of a run is bounded by the private-cache capacity, so
-//! steady state performs no allocation at all.
+//! steady state performs no allocation at all. `Presence::reserve`
+//! grows it to that bound up front.
 
 /// Sentinel for an empty slot. Line numbers are `addr >> 6`, so `u64::MAX`
 /// can never be a real key.
@@ -155,6 +156,14 @@ impl Presence {
         self.len == 0
     }
 
+    /// Grows the table until `lines` tracked lines fit without another
+    /// grow. Capacity never changes a query's answer, only where keys sit.
+    pub(crate) fn reserve(&mut self, lines: usize) {
+        while lines * 2 > self.keys.len() {
+            self.grow();
+        }
+    }
+
     /// Backward-shift deletion: re-seat the following probe-chain entries
     /// so lookups never need tombstones.
     fn remove_slot(&mut self, mut hole: usize) {
@@ -246,6 +255,22 @@ mod tests {
             p.dec(line, (line % 4) as usize);
         }
         assert!(p.is_empty());
+    }
+
+    #[test]
+    fn reserve_grows_once_up_front() {
+        let mut p = Presence::with_capacity_pow2(8);
+        p.inc(3, 1);
+        p.reserve(1000);
+        let capacity = p.keys.len();
+        assert!(capacity >= 2000);
+        assert_eq!(p.holders(3), 0b10, "entries survive the grow");
+        for line in 0..999u64 {
+            p.inc(line + 10, 0);
+        }
+        assert_eq!(p.keys.len(), capacity, "no grow within the reserved bound");
+        p.reserve(10);
+        assert_eq!(p.keys.len(), capacity, "reserve never shrinks");
     }
 
     #[test]

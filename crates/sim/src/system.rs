@@ -8,6 +8,7 @@
 //! fast multicore simulators; at 1000-cycle quanta the skew is far below
 //! the epoch lengths the CMM controller operates on.
 
+use crate::addr::CACHE_LINE_BYTES;
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::core_model::Core;
@@ -89,24 +90,48 @@ pub struct System {
     now: u64,
 }
 
-/// Inclusive back-invalidation of one socket's queued LLC victims,
-/// targeted at the cores whose private caches actually hold a copy (the
-/// presence holder mask) instead of broadcasting to every core. The
-/// evicting core already dropped its own copy at fill time, so most
-/// victims have an empty mask and cost one lookup. `cores` is the
-/// socket's slice, indexed by socket-local id.
-fn drain_invalidations(
-    cores: &mut [Core],
-    mem: &mut MemoryController,
-    presence: &mut Presence,
-    inval: &mut Vec<u64>,
-) {
-    for line in inval.drain(..) {
-        let mut mask = presence.holders(line);
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            cores[i].back_invalidate(line, mem, presence);
+impl SocketState {
+    /// Runs this socket's `cores` (its slice of the machine, socket-local
+    /// order) up to `qend` against its LLC, CAT domain and presence map.
+    /// `shared` is the machine-wide controller, used when the socket has
+    /// none of its own.
+    fn run_cores(&mut self, cores: &mut [Core], shared: Option<&mut MemoryController>, qend: u64) {
+        let SocketState { llc, cat, presence, inval, mem } = self;
+        let mem = mem.as_mut().or(shared).expect("a controller");
+        for core in cores {
+            core.run_until(qend, llc, cat, mem, presence, inval);
+        }
+    }
+
+    /// Inclusive back-invalidation of the socket's queued LLC victims,
+    /// targeted at the cores whose private caches actually hold a copy
+    /// (the presence holder mask) instead of broadcasting to every core.
+    /// The evicting core already dropped its own copy at fill time, so
+    /// most victims have an empty mask and cost one lookup. `cores` is the
+    /// socket's slice, indexed by socket-local id.
+    fn drain_invalidations(&mut self, cores: &mut [Core], shared: Option<&mut MemoryController>) {
+        let SocketState { presence, inval, mem, .. } = self;
+        let mem = mem.as_mut().or(shared).expect("a controller");
+        for line in inval.drain(..) {
+            let mut mask = presence.holders(line);
+            while mask != 0 {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                cores[i].back_invalidate(line, mem, presence);
+            }
+        }
+    }
+
+    /// Advances a socket with its own memory controller from `now` to
+    /// `target`, quantum by quantum: its cores, then its deferred
+    /// back-invalidations. Touches nothing outside the socket, so sockets
+    /// may advance on separate threads.
+    fn advance_alone(&mut self, cores: &mut [Core], mut now: u64, target: u64, quantum: u64) {
+        while now < target {
+            let qend = (now + quantum).min(target);
+            self.run_cores(cores, None, qend);
+            self.drain_invalidations(cores, None);
+            now = qend;
         }
     }
 }
@@ -175,38 +200,68 @@ impl System {
     }
 
     /// Advances the whole machine by `cycles` cycles.
+    ///
+    /// A machine whose sockets each own a memory controller shares nothing
+    /// between sockets, so each socket advances over the whole span on its
+    /// own scoped thread (the caller's thread takes socket 0) with one join
+    /// per call. Results are bit-identical to the serial quantum loop,
+    /// which single-socket and shared-controller machines keep: there the
+    /// sockets contend for one controller within every quantum.
     pub fn run(&mut self, cycles: u64) {
         let target = self.now + cycles;
+        if self.sockets.len() > 1 && self.cfg.topology.mem_per_socket {
+            self.run_sockets_concurrently(target);
+            return;
+        }
         let cps = self.cfg.topology.cores_per_socket;
         while self.now < target {
             let qend = (self.now + self.cfg.quantum).min(target);
-            {
-                let System { cores, sockets, shared_mem, .. } = self;
-                for (s, sock) in sockets.iter_mut().enumerate() {
-                    let SocketState { llc, cat, presence, inval, mem } = sock;
-                    let mem = mem.as_mut().or(shared_mem.as_mut()).expect("a controller");
-                    for core in &mut cores[s * cps..(s + 1) * cps] {
-                        core.run_until(qend, llc, cat, mem, presence, inval);
-                    }
-                }
+            let System { cores, sockets, shared_mem, .. } = self;
+            for (sock, cores) in sockets.iter_mut().zip(cores.chunks_mut(cps)) {
+                sock.run_cores(cores, shared_mem.as_mut(), qend);
             }
             self.apply_back_invalidations();
             self.now = qend;
         }
     }
 
+    /// [`System::run`] for per-socket-controller machines.
+    fn run_sockets_concurrently(&mut self, target: u64) {
+        if self.now >= target {
+            return;
+        }
+        let (now, quantum) = (self.now, self.cfg.quantum);
+        let cps = self.cfg.topology.cores_per_socket;
+        // Grow every presence map to its bound (each of the socket's L2s
+        // full of distinct lines) here, so the worker threads never
+        // reallocate it: glibc would serve that from per-thread arenas and
+        // raise the resident set by several MiB.
+        let bound = cps * (self.cfg.l2.size_bytes / CACHE_LINE_BYTES) as usize;
+        let System { cores, sockets, .. } = self;
+        for sock in sockets.iter_mut() {
+            sock.presence.reserve(bound);
+        }
+        let mut work = sockets.iter_mut().zip(cores.chunks_mut(cps));
+        let (first, first_cores) = work.next().expect("a multi-socket machine");
+        std::thread::scope(|scope| {
+            for (sock, cores) in work {
+                scope.spawn(move || sock.advance_alone(cores, now, target, quantum));
+            }
+            first.advance_alone(first_cores, now, target, quantum);
+        });
+        self.now = target;
+    }
+
     /// Drains every socket's deferred back-invalidation queue (see
-    /// [`drain_invalidations`]); called at quantum boundaries.
+    /// [`SocketState::drain_invalidations`]); called at quantum
+    /// boundaries.
     fn apply_back_invalidations(&mut self) {
         let cps = self.cfg.topology.cores_per_socket;
         let System { cores, sockets, shared_mem, .. } = self;
-        for (s, sock) in sockets.iter_mut().enumerate() {
-            if sock.inval.is_empty() {
-                continue;
+        for (sock, cores) in sockets.iter_mut().zip(cores.chunks_mut(cps)) {
+            if !sock.inval.is_empty() {
+                sock.drain_invalidations(cores, shared_mem.as_mut());
             }
-            let SocketState { presence, inval, mem, .. } = sock;
-            let mem = mem.as_mut().or(shared_mem.as_mut()).expect("a controller");
-            drain_invalidations(&mut cores[s * cps..(s + 1) * cps], mem, presence, inval);
         }
     }
 

@@ -293,8 +293,23 @@ smoke_scale() {
         return 1
     fi
     grep -q 'topology mismatch' "$tmp/scale-diff.err"
+    # learn/faults/governor run single-socket machines: a multi-socket
+    # --topology exits 2 before any simulation, so nothing is journaled.
+    local t rc
+    for t in learn faults governor; do
+        rc=0
+        ./target/release/repro "$t" --quick --topology 2x8 \
+            --bench-json "$tmp/BENCH_refuse.json" --journal "$tmp/refuse.jsonl" \
+            > /dev/null 2> "$tmp/topology-refuse.err" || rc=$?
+        if [ "$rc" -ne 2 ]; then
+            echo "repro $t --topology 2x8 exited $rc, not 2" >&2
+            return 1
+        fi
+        grep -q 'runs on one socket only' "$tmp/topology-refuse.err"
+    done
+    [ ! -e "$tmp/refuse.jsonl" ]
 }
-step "repro smoke_scale (1x8 golden diff, 2x16 determinism, /3 journal)" smoke_scale
+step "repro smoke_scale (1x8 golden diff, 2x16 determinism, /3 journal, topology refusal)" smoke_scale
 
 smoke_kill_resume() {
     # Crash-safety gate: a run hard-killed mid-sweep must resume from its
