@@ -1095,7 +1095,8 @@ fn main() {
     // These targets build single-socket machines of their own: refuse a
     // multi-socket --topology up front instead of silently running 1x8.
     if let Some(t) = args.topology.filter(|t| !t.is_single()) {
-        if matches!(args.target.as_str(), "learn" | "faults" | "governor") {
+        if matches!(args.target.as_str(), "learn" | "faults" | "governor" | "extension" | "ablate")
+        {
             eprintln!(
                 "--topology {t}: repro {} runs on one socket only; drop the flag",
                 args.target

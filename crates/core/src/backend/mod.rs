@@ -480,34 +480,24 @@ pub struct ThrottleSearch {
     pub winner: Option<usize>,
 }
 
-/// Searches the on/off space over `groups` of cores, one sampling interval
-/// per setting, ranking by `hm_ipc` (the paper's "best" criterion — the
+/// Searches the on/off space over `groups` of cores within one CAT domain
+/// (the `len` cores starting at `base`), one sampling interval per
+/// setting, ranking by `hm_ipc` (the paper's "best" criterion — the
 /// reciprocal of ANTT up to the unknown run-alone IPCs). Cores outside the
 /// groups keep their prefetchers on. Applies the winning enable vector and
 /// returns it together with the per-trial log.
+///
+/// `groups` hold **global** core ids within the range, the trial `hm_ipc`
+/// is computed over the domain's cores only (another domain's phase change
+/// must not steer this domain's search), and the returned enable vector /
+/// trial images are domain-local (`len` entries, index = global id −
+/// `base`). The whole machine still advances during each trial interval —
+/// cores outside the domain just keep whatever prefetch setting they have.
 ///
 /// Trial-interval write failures are tolerated (the trial ranks whatever
 /// configuration actually took hold). If applying the *winner* fails, the
 /// search reverts to the all-on entry state — the last configuration known
 /// to be fully programmed — and logs `kept_last_good`.
-pub fn search_throttle<S: Substrate>(
-    sys: &mut S,
-    groups: &[Vec<usize>],
-    sampling_interval: u64,
-    log: &mut Vec<FaultRecord>,
-) -> ThrottleSearch {
-    let n = sys.num_cores();
-    search_throttle_in(sys, groups, sampling_interval, log, 0, n)
-}
-
-/// [`search_throttle`] scoped to the `len` cores starting at `base` (one
-/// CAT domain): `groups` hold **global** core ids within that range, the
-/// trial `hm_ipc` is computed over the domain's cores only (another
-/// domain's phase change must not steer this domain's search), and the
-/// returned enable vector / trial images are domain-local (`len` entries,
-/// index = global id − `base`). The whole machine still advances during
-/// each trial interval — cores outside the domain just keep whatever
-/// prefetch setting they have.
 pub fn search_throttle_in<S: Substrate>(
     sys: &mut S,
     groups: &[Vec<usize>],
@@ -586,22 +576,9 @@ pub struct LevelSearch {
 /// *levels* (used by the PT-fine extension): tries every combination of
 /// `levels` across `groups`, one sampling interval each, ranked by
 /// `hm_ipc`. Cores outside the groups keep all prefetchers on. Applies
-/// the winning per-core MSR image and returns it with the trial log.
-pub fn search_throttle_levels<S: Substrate>(
-    sys: &mut S,
-    groups: &[Vec<usize>],
-    levels: &[u64],
-    sampling_interval: u64,
-    log: &mut Vec<FaultRecord>,
-) -> LevelSearch {
-    let n = sys.num_cores();
-    search_throttle_levels_in(sys, groups, levels, sampling_interval, log, 0, n)
-}
-
-/// [`search_throttle_levels`] scoped to the `len` cores starting at `base`
-/// — the level-granular analogue of [`search_throttle_in`], with the same
-/// domain-local conventions (global group ids, domain-sliced `hm_ipc`,
-/// `len`-sized MSR images).
+/// the winning per-core MSR image and returns it with the trial log. The
+/// domain conventions are [`search_throttle_in`]'s (global group ids,
+/// domain-sliced `hm_ipc`, `len`-sized MSR images).
 pub fn search_throttle_levels_in<S: Substrate>(
     sys: &mut S,
     groups: &[Vec<usize>],

@@ -5,87 +5,30 @@
 //! exhaustively while `2^|Agg|` is small, else over k-means traffic groups
 //! — one sampling interval per setting, ranked by `hm_ipc`. The winning
 //! setting runs for the next execution epoch. PT never touches CAT.
-
-use super::{detect_logged, search_throttle, search_throttle_levels, throttle_groups, Detection};
-use crate::policy::ControllerConfig;
-use crate::substrate::Substrate;
-use crate::telemetry::FaultRecord;
+//!
+//! The epoch itself runs in [`crate::driver::Driver`], per CAT domain, on
+//! the shared plumbing in [`super`]; this module holds PT-fine's search
+//! space.
 
 /// The three MSR 0x1A4 levels the PT-fine extension searches: all engines
 /// on, only the two L2 engines (streamer + adjacent) off, and all off.
 pub const FINE_LEVELS: [u64; 3] = [0x0, 0x3, 0xF];
 
-/// Result of one PT profiling pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PtOutcome {
-    /// The detection that drove the decision.
-    pub detection: Detection,
-    /// The chosen per-core prefetch enabling (already applied).
-    pub prefetch_on: Vec<bool>,
-    /// Cycles spent profiling (detection + search intervals).
-    pub profiling_cycles: u64,
-    /// Every trialed configuration with its `hm_ipc` (telemetry).
-    pub trials: Vec<crate::telemetry::Trial>,
-    /// Index of the applied winner in `trials`; `None` when no search ran.
-    pub winner: Option<usize>,
-}
+/// PT-fine's exhaustive limit: `Agg` sets of up to this many cores get
+/// one throttle group per core.
+pub const FINE_EXHAUSTIVE_LIMIT: usize = 2;
 
-/// PT-fine (extension): like [`profile`], but each throttle group is
-/// searched over the three [`FINE_LEVELS`] instead of binary on/off.
-/// Groups are capped at 2 so the search stays within 9 sampling intervals.
-pub fn profile_fine<S: Substrate>(
-    sys: &mut S,
-    ctrl: &ControllerConfig,
-    det_cfg: &crate::frontend::DetectorConfig,
-    log: &mut Vec<FaultRecord>,
-) -> PtOutcome {
-    let detection = detect_logged(sys, ctrl, det_cfg, log);
-    let groups = throttle_groups(
-        &detection.agg,
-        &detection.interval1,
-        2, // exhaustive limit: per-core groups only up to 2 cores
-        2,
-    );
-    let search = search_throttle_levels(sys, &groups, &FINE_LEVELS, ctrl.sampling_interval, log);
-    let profiling_cycles = detection.profiling_cycles + search.cycles;
-    PtOutcome {
-        detection,
-        prefetch_on: search.best.iter().map(|&m| m != 0xF).collect(),
-        profiling_cycles,
-        trials: search.trials,
-        winner: search.winner,
-    }
-}
-
-/// Runs PT's full profiling epoch and applies the winner.
-pub fn profile<S: Substrate>(
-    sys: &mut S,
-    ctrl: &ControllerConfig,
-    det_cfg: &crate::frontend::DetectorConfig,
-    log: &mut Vec<FaultRecord>,
-) -> PtOutcome {
-    let detection = detect_logged(sys, ctrl, det_cfg, log);
-    let groups = throttle_groups(
-        &detection.agg,
-        &detection.interval1,
-        ctrl.exhaustive_limit,
-        ctrl.throttle_groups,
-    );
-    let search = search_throttle(sys, &groups, ctrl.sampling_interval, log);
-    let profiling_cycles = detection.profiling_cycles + search.cycles;
-    PtOutcome {
-        detection,
-        prefetch_on: search.best,
-        profiling_cycles,
-        trials: search.trials,
-        winner: search.winner,
-    }
-}
+/// PT-fine's group cap: larger `Agg` sets are k-means clustered into at
+/// most this many groups, so the search stays within
+/// `FINE_LEVELS.len() ^ FINE_GROUPS` = 9 sampling intervals per domain.
+pub const FINE_GROUPS: usize = 2;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::DetectorConfig;
+    use crate::driver::Driver;
+    use crate::policy::{ControllerConfig, Mechanism};
+    use crate::telemetry::EpochRecord;
     use cmm_sim::config::SystemConfig;
     use cmm_sim::workload::Workload;
     use cmm_sim::System;
@@ -105,50 +48,49 @@ mod tests {
         System::new(cfg, ws)
     }
 
+    /// One `mech` profiling epoch after `warm` uncontrolled cycles: the
+    /// epoch's record and the machine cycles it spent.
+    fn one_epoch(names: &[&str], warm: u64, mech: Mechanism) -> (EpochRecord, u64, Driver) {
+        let mut sys = system_with(names);
+        sys.run(warm);
+        let before = sys.now();
+        let mut drv = Driver::new(sys, mech, ControllerConfig::quick());
+        drv.epoch();
+        let spent = drv.system().now() - before;
+        (drv.take_records().pop().unwrap(), spent, drv)
+    }
+
     #[test]
     fn detects_stream_as_aggressive_and_friendly() {
-        let mut sys = system_with(&["bwaves3d", "povray_rt", "gobmk_ai", "namd_md"]);
-        sys.run(600_000); // warm past the cache-resident benchmarks' cold phase
-        let ctrl = ControllerConfig::quick();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert_eq!(out.detection.agg, vec![0], "only the stream is aggressive");
-        assert_eq!(out.detection.friendly, vec![0], "the stream profits from prefetching");
-        assert!(out.detection.unfriendly.is_empty());
+        // Warm past the cache-resident benchmarks' cold phase.
+        let (rec, _, _) =
+            one_epoch(&["bwaves3d", "povray_rt", "gobmk_ai", "namd_md"], 600_000, Mechanism::Pt);
+        assert_eq!(rec.agg, vec![0], "only the stream is aggressive");
+        assert_eq!(rec.friendly, vec![0], "the stream profits from prefetching");
+        assert!(rec.unfriendly.is_empty());
         // The chosen config must keep the friendly stream's prefetchers on:
         // throttling it would tank hm_ipc.
-        assert!(out.prefetch_on[0]);
+        assert!(rec.applied[0].prefetching());
     }
 
     #[test]
     fn throttles_the_random_access_aggressor() {
-        let mut sys = system_with(&["rand_access", "mcf_refine", "povray_rt", "omnet_events"]);
-        sys.run(600_000);
-        let ctrl = ControllerConfig::quick();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert!(
-            out.detection.agg.contains(&0),
-            "burst-random must be detected as aggressive: {:?}",
-            out.detection
-        );
-        assert!(
-            out.detection.unfriendly.contains(&0),
-            "burst-random prefetching is useless: {:?}",
-            out.detection
-        );
+        let names = ["rand_access", "mcf_refine", "povray_rt", "omnet_events"];
+        let (rec, _, _) = one_epoch(&names, 600_000, Mechanism::Pt);
+        assert!(rec.agg.contains(&0), "burst-random must be detected as aggressive: {rec:?}");
+        assert!(rec.unfriendly.contains(&0), "burst-random prefetching is useless: {rec:?}");
     }
 
     #[test]
     fn no_aggressor_means_no_throttling() {
         // Long warm-up: the L2-resident benchmarks legitimately look like
         // streams during their cold first pass.
-        let mut sys = system_with(&["povray_rt", "gobmk_ai", "namd_md", "hmmer_search"]);
-        sys.run(600_000);
-        let ctrl = ControllerConfig::quick();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert!(out.detection.agg.is_empty());
-        assert!(out.prefetch_on.iter().all(|&on| on));
+        let names = ["povray_rt", "gobmk_ai", "namd_md", "hmmer_search"];
+        let (rec, spent, _) = one_epoch(&names, 600_000, Mechanism::Pt);
+        assert!(rec.agg.is_empty());
+        assert!(rec.applied.iter().all(|c| c.prefetching()));
         // Only the mandatory all-on interval was needed.
-        assert_eq!(out.profiling_cycles, ctrl.sampling_interval);
+        assert_eq!(spent, ControllerConfig::quick().sampling_interval);
     }
 
     #[test]
@@ -156,24 +98,24 @@ mod tests {
         // A burst-random aggressor: its L2 engines flood, its L1 engines
         // are nearly free. PT-fine must at least not do worse than binary
         // PT's options, and the chosen MSR must be one of the three levels.
-        let mut sys = system_with(&["rand_access", "mcf_refine", "povray_rt", "omnet_events"]);
-        sys.run(600_000);
-        let ctrl = ControllerConfig::quick();
-        let out = profile_fine(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
+        let names = ["rand_access", "mcf_refine", "povray_rt", "omnet_events"];
+        let (rec, _, drv) = one_epoch(&names, 600_000, Mechanism::PtFine);
         for core in 0..4 {
-            let msr = sys.read_msr(core, cmm_sim::msr::MSR_MISC_FEATURE_CONTROL).unwrap();
+            let msr = drv.system().read_msr(core, cmm_sim::msr::MSR_MISC_FEATURE_CONTROL).unwrap();
             assert!(FINE_LEVELS.contains(&msr), "core {core} msr {msr:#x}");
         }
-        assert_eq!(out.prefetch_on.len(), 4);
+        assert_eq!(rec.applied.len(), 4);
     }
 
     #[test]
     fn profiling_cycles_accounted() {
-        let mut sys = system_with(&["bwaves3d", "rand_access", "povray_rt", "mcf_refine"]);
-        sys.run(100_000);
-        let ctrl = ControllerConfig::quick();
-        let before = sys.now();
-        let out = profile(&mut sys, &ctrl, &DetectorConfig::default(), &mut Vec::new());
-        assert_eq!(sys.now() - before, out.profiling_cycles);
+        let names = ["bwaves3d", "rand_access", "povray_rt", "mcf_refine"];
+        let (rec, spent, _) = one_epoch(&names, 100_000, Mechanism::Pt);
+        // The epoch's machine time is exactly its sampling intervals: the
+        // detection (a second interval once aggressors exist) plus one
+        // interval per trial.
+        let detection = if rec.agg.is_empty() { 1 } else { 2 };
+        let intervals = detection + rec.trials.len() as u64;
+        assert_eq!(spent, intervals * ControllerConfig::quick().sampling_interval);
     }
 }

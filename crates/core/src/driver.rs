@@ -6,6 +6,11 @@
 //! detects the `Agg` set and the back-end trials candidate configurations.
 //! The winning configuration is applied for the following execution epoch.
 //!
+//! The controller is per CAT domain (socket): every machine runs one
+//! controller instance per domain, and a one-socket machine is simply one
+//! domain. The detection intervals are shared by all domains; each domain
+//! then plans, searches and applies against its own cores and CAT state.
+//!
 //! The controller's own work is charged as
 //! [`ControllerConfig::overhead_cycles`] per invocation and reported by
 //! [`Driver::overhead_ratio`] — the analogue of the paper's PMU-vs-TSC
@@ -14,18 +19,19 @@
 //! The driver is generic over the [`Substrate`] it manages and **degrades
 //! gracefully** when the substrate misbehaves: transiently rejected MSR
 //! writes are retried (see [`backend::write_msr_logged`]), a CAT plan that
-//! cannot be programmed makes the epoch retreat CMM → Dunn → no-op
-//! (always via the infallible [`Substrate::reset_cat`] safe state first),
-//! and every observed fault plus the chosen degradation lands in the
-//! epoch's [`EpochRecord::faults`] / [`EpochRecord::degraded`] telemetry.
+//! cannot be programmed makes the domain retreat CMM → Dunn → no-op
+//! (always via the infallible [`Substrate::reset_cat_domain`] safe state
+//! first), and every observed fault plus the chosen degradation lands in
+//! the epoch's [`EpochRecord::faults`] / [`EpochRecord::degraded`]
+//! telemetry.
 
-use crate::backend::{self, cbp, cmm, cp, dunn, pt, PartitionPlan};
+use crate::backend::{self, cbp, cmm, cp, dunn, pt, Detection, PartitionPlan};
 use crate::frontend::DetectorConfig;
 use crate::governor::{self, Governor, GovernorConfig, RegClass};
 use crate::learned::{self, Learner};
 use crate::policy::{ControllerConfig, Mechanism};
 use crate::substrate::Substrate;
-use crate::telemetry::{CoreSample, EpochRecord, FaultRecord, Trial};
+use crate::telemetry::{CoreSample, EpochRecord, FaultRecord, GovernorEvent, Trial};
 use cmm_sim::msr;
 use cmm_sim::pmu::{Pmu, PmuDelta};
 use cmm_sim::System;
@@ -44,6 +50,70 @@ struct RlHold {
     label: String,
 }
 
+/// One CAT domain (socket): its index and its range of global core ids.
+#[derive(Clone, Copy)]
+struct Domain {
+    d: usize,
+    base: usize,
+    len: usize,
+}
+
+impl Domain {
+    fn cores(self) -> std::ops::Range<usize> {
+        self.base..self.base + self.len
+    }
+
+    /// `faults` as the domain's governor sees them: core ids rebased to
+    /// the domain, cores outside it dropped.
+    fn local(self, faults: &[FaultRecord]) -> Vec<FaultRecord> {
+        faults
+            .iter()
+            .map(|f| FaultRecord {
+                core: f.core.and_then(|c| c.checked_sub(self.base)).filter(|&c| c < self.len),
+                ..f.clone()
+            })
+            .collect()
+    }
+}
+
+/// One domain's decision data, folded into its record at the end of the
+/// epoch.
+#[derive(Default)]
+struct DomainDecision {
+    cores: Vec<CoreSample>,
+    agg: Vec<usize>,
+    friendly: Vec<usize>,
+    unfriendly: Vec<usize>,
+    trials: Vec<Trial>,
+    winner: Option<usize>,
+    degraded: Option<&'static str>,
+    features: Vec<f64>,
+    action: Option<String>,
+}
+
+impl DomainDecision {
+    /// Records a degradation decision in the domain's fault log and as
+    /// [`EpochRecord::degraded`].
+    fn degrade(&mut self, dlog: &mut Vec<FaultRecord>, cycle: u64, action: &'static str) {
+        dlog.push(FaultRecord { cycle, kind: "degraded", core: None, msr: None, action });
+        self.degraded = Some(match action {
+            "fallback_cmm_a" => "CMM-a",
+            "fallback_dunn" => "Dunn",
+            "fallback_throttle" => "throttle-only",
+            _ => "no-op",
+        });
+    }
+}
+
+/// Which register classes a domain's governor lets this epoch touch (all
+/// of them when ungoverned).
+#[derive(Clone, Copy)]
+struct Gates {
+    pf: bool,
+    cat: bool,
+    mba: bool,
+}
+
 /// Drives one [`Substrate`] under one [`Mechanism`].
 pub struct Driver<S: Substrate = System> {
     sys: S,
@@ -52,27 +122,25 @@ pub struct Driver<S: Substrate = System> {
     det_cfg: DetectorConfig,
     epochs: u64,
     overhead_cycles: u64,
-    /// Agg-set size observed at each profiling epoch (diagnostics).
+    /// Agg-set size observed at each profiling epoch, summed over domains
+    /// (diagnostics).
     agg_history: Vec<usize>,
     /// Full per-epoch decision telemetry (see [`crate::telemetry`]).
     records: Vec<EpochRecord>,
     /// `(cycle, pmus)` at the end of the previous `epoch()` call — the
     /// baseline the next epoch measures its execution-epoch IPC against.
     exec_anchor: Option<(u64, Vec<Pmu>)>,
-    /// `exec_hm_ipc` of the previous epoch's record, for the delta.
-    prev_exec_hm: Option<f64>,
-    /// Multi-socket analogue of `prev_exec_hm`: one entry per CAT domain,
-    /// sized lazily on the first multi-socket epoch.
+    /// Each domain's last measured `exec_hm_ipc`, for the delta.
     prev_exec_hm_dom: Vec<Option<f64>>,
-    /// The safety governor, when attached ([`Driver::with_governor`]).
-    /// `None` leaves every epoch byte-identical to the ungoverned driver.
-    governor: Option<Governor>,
+    /// One safety governor per CAT domain, when attached
+    /// ([`Driver::with_governor`]). Empty leaves every epoch byte-identical
+    /// to the ungoverned driver.
+    governors: Vec<Governor>,
     /// The learned controller, when attached ([`Driver::with_learner`]).
     /// Without one, ML-Sel and RL-CBP degrade every epoch to the CMM-a
     /// search.
     learner: Option<Learner>,
-    /// Per-domain stretched-action state for RL-CBP (index 0 on a
-    /// single-socket machine), sized lazily on the first RL epoch.
+    /// Per-domain stretched-action state for RL-CBP.
     rl_hold: Vec<Option<RlHold>>,
 }
 
@@ -85,6 +153,7 @@ impl<S: Substrate> Driver<S> {
             ptr_threshold: ctrl.ptr_threshold,
             pga_floor: ctrl.pga_floor,
         };
+        let domains = sys.config().topology.sockets;
         Driver {
             sys,
             mechanism,
@@ -95,30 +164,31 @@ impl<S: Substrate> Driver<S> {
             agg_history: Vec::new(),
             records: Vec::new(),
             exec_anchor: None,
-            prev_exec_hm: None,
-            prev_exec_hm_dom: Vec::new(),
-            governor: None,
+            prev_exec_hm_dom: vec![None; domains],
+            governors: Vec::new(),
             learner: None,
-            rl_hold: Vec::new(),
+            rl_hold: (0..domains).map(|_| None).collect(),
         }
     }
 
-    /// Attaches a safety governor (see [`crate::governor`]): every
-    /// subsequent epoch verifies the applied plan against the last-known-
-    /// good hm_ipc (rolling back on regression under faults), drops
-    /// quarantined cores from classification, and consults the circuit
-    /// breakers before touching a register class. At fault rate zero none
-    /// of the defenses ever fire and the run stays byte-identical to an
-    /// ungoverned one.
+    /// Attaches one safety governor per CAT domain (see
+    /// [`crate::governor`]), each over its domain's cores in domain-local
+    /// ids: every subsequent epoch verifies each domain's applied plan
+    /// against its last-known-good hm_ipc (rolling back on regression
+    /// under faults), drops quarantined cores from classification, and
+    /// consults the domain's circuit breakers before touching a register
+    /// class. At fault rate zero none of the defenses ever fire and the
+    /// run stays byte-identical to an ungoverned one.
     pub fn with_governor(mut self, cfg: GovernorConfig) -> Self {
-        let cores = self.sys.num_cores();
-        self.governor = Some(Governor::new(cfg, cores));
+        let topo = self.sys.config().topology;
+        self.governors =
+            (0..topo.sockets).map(|_| Governor::new(cfg.clone(), topo.cores_per_socket)).collect();
         self
     }
 
-    /// The attached governor, if any (tests and run summaries).
-    pub fn governor(&self) -> Option<&Governor> {
-        self.governor.as_ref()
+    /// The attached governors, one per CAT domain; empty when ungoverned.
+    pub fn governors(&self) -> &[Governor] {
+        &self.governors
     }
 
     /// Attaches a learned controller (see [`crate::learned`]): ML-Sel
@@ -155,8 +225,8 @@ impl<S: Substrate> Driver<S> {
         self.epochs
     }
 
-    /// `Agg`-set sizes per epoch (empty entries mean no profiling ran,
-    /// e.g. for the baseline).
+    /// `Agg`-set sizes per epoch, summed over domains (epochs that
+    /// profiled nothing, e.g. the baseline's, add no entry).
     pub fn agg_history(&self) -> &[usize] {
         &self.agg_history
     }
@@ -197,395 +267,358 @@ impl<S: Substrate> Driver<S> {
 
     /// Runs exactly one profiling epoch (decision + application), without
     /// the following execution epoch. Exposed for tests and examples.
-    /// Every epoch appends one [`EpochRecord`] to [`Driver::records`].
+    ///
+    /// One controller instance per CAT domain runs "concurrently": the
+    /// detection intervals are shared across domains (two machine-wide
+    /// samples total, see [`backend::detect_domains_logged`]), then each
+    /// domain makes and applies its own decision against its socket's CAT
+    /// state and cores. Throttle-search trial intervals run per domain in
+    /// sequence (each trial must measure its own domain undisturbed),
+    /// which is also how independent per-socket daemons would interleave
+    /// in wall-clock time.
+    ///
+    /// Appends one [`EpochRecord`] per domain, all stamped with this
+    /// epoch's index and start cycle; only multi-domain records carry a
+    /// `domain`. Faults are attributed to the domain whose controller
+    /// section observed them; machine-wide faults with a core id are
+    /// routed to that core's domain, core-less ones to domain 0, so each
+    /// domain's list stays chronological.
     ///
     /// Never panics on substrate faults: unrecoverable CAT failures make
-    /// the epoch retreat CMM → Dunn → no-op (flat CAT via `reset_cat`),
-    /// recording the chosen degradation in the epoch's telemetry.
-    ///
-    /// On a single-socket machine the epoch runs the original whole-machine
-    /// controller and appends one record (`domain: None`). On a multi-socket
-    /// machine it runs one controller instance per CAT domain (see
-    /// [`Driver::epoch_multi`]) and appends one record per domain.
+    /// the domain retreat CMM → Dunn → no-op (flat CAT via
+    /// `reset_cat_domain`), recording the chosen degradation.
     pub fn epoch(&mut self) {
-        if self.sys.config().topology.is_single() {
-            self.epoch_single()
-        } else {
-            self.epoch_multi()
-        }
-    }
-
-    /// The original whole-machine profiling epoch (single CAT domain).
-    fn epoch_single(&mut self) {
         self.epochs += 1;
         let epoch_start = self.sys.now();
+        let topo = self.sys.config().topology;
+        let (domains, len) = (topo.sockets, topo.cores_per_socket);
+        let doms: Vec<Domain> = (0..domains).map(|d| Domain { d, base: d * len, len }).collect();
         let mut log: Vec<FaultRecord> = Vec::new();
-        // How did the execution epoch we just finished actually perform?
-        let exec_hm_ipc = match self.exec_anchor.take() {
+        let mut dom_logs: Vec<Vec<FaultRecord>> = vec![Vec::new(); domains];
+        // How did the execution epoch each domain just finished perform?
+        let exec_hms: Vec<Option<f64>> = match self.exec_anchor.take() {
             Some((anchor_cycle, anchor)) if self.sys.now() > anchor_cycle => {
                 let current = backend::pmu_read_stable(&mut self.sys, &mut log);
                 let deltas: Vec<PmuDelta> =
                     current.iter().zip(anchor).map(|(&c, a)| c - a).collect();
-                Some(backend::sample_hm_ipc(&deltas))
+                doms.iter().map(|dom| Some(backend::sample_hm_ipc(&deltas[dom.cores()]))).collect()
             }
-            _ => None,
+            _ => vec![None; domains],
         };
-        let exec_ipc_delta = match (exec_hm_ipc, self.prev_exec_hm) {
-            (Some(cur), Some(prev)) => Some(cur - prev),
-            _ => None,
-        };
-        if exec_hm_ipc.is_some() {
-            self.prev_exec_hm = exec_hm_ipc;
+        route_faults(&mut log, &mut dom_logs, len);
+        let exec_deltas: Vec<Option<f64>> = exec_hms
+            .iter()
+            .zip(&self.prev_exec_hm_dom)
+            .map(|(&cur, &prev)| Some(cur? - prev?))
+            .collect();
+        for (prev, cur) in self.prev_exec_hm_dom.iter_mut().zip(&exec_hms) {
+            if cur.is_some() {
+                *prev = *cur;
+            }
         }
         // Governor defense 1 (apply-then-verify): the execution epoch that
-        // just ran is the verification window of the previously applied
-        // plan. A regression past the bound — only ever while substrate
-        // faults are active — restores the pre-plan snapshot and skips
-        // this epoch's profiling, letting the last-known-good state run
-        // one more execution epoch instead of re-planning from
+        // just ran is the verification window of each domain's previously
+        // applied plan. A regression past the bound — only ever while
+        // substrate faults are active — restores the domain's pre-plan
+        // snapshot and skips its profiling, letting the last-known-good
+        // state run one more execution epoch instead of re-planning from
         // fault-tainted telemetry.
-        let mut rolled_back = false;
-        if let Some(g) = self.governor.as_mut() {
+        let mut rolled_back = vec![false; domains];
+        for (dom, g) in doms.iter().zip(self.governors.iter_mut()) {
             g.begin_epoch(epoch_start);
-            if let Some(hm) = exec_hm_ipc {
-                if g.should_roll_back(hm) {
+            match exec_hms[dom.d] {
+                Some(hm) if g.should_roll_back(hm) => {
                     if let Some(snap) = g.snapshot() {
-                        governor::restore(&mut self.sys, snap);
+                        governor::restore(&mut self.sys, dom.base, snap);
                     }
                     g.log_rollback(epoch_start);
-                    log.push(FaultRecord {
+                    dom_logs[dom.d].push(FaultRecord {
                         cycle: epoch_start,
                         kind: "degraded",
                         core: None,
                         msr: None,
                         action: "kept_last_good",
                     });
-                    rolled_back = true;
-                } else {
-                    g.accept(hm);
-                    g.note_snapshot(self.sys.control_state());
+                    rolled_back[dom.d] = true;
                 }
-            } else {
-                g.note_snapshot(self.sys.control_state());
+                hm => {
+                    if let Some(hm) = hm {
+                        g.accept(hm);
+                    }
+                    g.note_snapshot(self.sys.control_state()[dom.cores()].to_vec());
+                }
             }
         }
         if self.mechanism != Mechanism::Baseline {
-            self.overhead_cycles += self.ctrl.overhead_cycles;
+            // One controller instance per domain does its own bookkeeping.
+            self.overhead_cycles += self.ctrl.overhead_cycles * domains as u64;
         }
+        if let (Mechanism::RlCbp, Some(Learner::Rl(rl))) = (self.mechanism, self.learner.as_mut()) {
+            // Credit each domain's action in force with its execution
+            // epoch's hm_ipc delta before picking the next one.
+            for (d, delta) in exec_deltas.iter().enumerate() {
+                if let (Some(delta), false) = (delta, rolled_back[d]) {
+                    rl.bandit_mut(d).observe(*delta);
+                }
+            }
+        }
+        // A held domain keeps last epoch's state instead of re-planning: a
+        // rolled-back one its restored snapshot, an RL-CBP one its
+        // stretched action.
+        let held: Vec<bool> = doms
+            .iter()
+            .map(|dom| {
+                rolled_back[dom.d] || self.rl_hold[dom.d].as_ref().is_some_and(|h| h.skip > 0)
+            })
+            .collect();
+        let mut outs: Vec<DomainDecision> =
+            doms.iter().map(|_| DomainDecision::default()).collect();
+        if held.iter().all(|&h| h) {
+            // Nothing to re-plan: no profiling at all this epoch.
+            for dom in &doms {
+                self.hold(*dom, rolled_back[dom.d], false, &mut dom_logs[dom.d], &mut outs[dom.d]);
+            }
+        } else {
+            let (dets, det_starts) = self.observe(&doms, &held, &mut log, &mut dom_logs);
+            let mut agg_total = 0;
+            for (dom, det) in doms.iter().copied().zip(dets) {
+                let (dlog, out) = (&mut dom_logs[dom.d], &mut outs[dom.d]);
+                if held[dom.d] {
+                    agg_total += det.agg.len();
+                    self.hold(dom, rolled_back[dom.d], true, dlog, out);
+                } else {
+                    *out = self.plan(dom, det, dlog, det_starts[dom.d]);
+                    agg_total += out.agg.len();
+                }
+            }
+            if self.mechanism != Mechanism::Baseline {
+                self.agg_history.push(agg_total);
+            }
+        }
+        // Anchor for the next epoch's execution-IPC measurement.
+        let anchor = backend::pmu_read_stable(&mut self.sys, &mut log);
+        self.exec_anchor = Some((self.sys.now(), anchor));
+        route_faults(&mut log, &mut dom_logs, len);
+        let now = self.sys.now();
+        let applied = self.sys.control_state();
+        for ((dom, out), faults) in doms.into_iter().zip(outs).zip(dom_logs) {
+            let governor = self.govern_faults(dom, &faults, now);
+            self.records.push(EpochRecord {
+                epoch: self.epochs,
+                cycle: epoch_start,
+                mechanism: self.mechanism.label(),
+                domain: (domains > 1).then_some(dom.d),
+                cores: out.cores,
+                agg: out.agg,
+                friendly: out.friendly,
+                unfriendly: out.unfriendly,
+                trials: out.trials,
+                winner: out.winner,
+                exec_hm_ipc: exec_hms[dom.d],
+                exec_ipc_delta: exec_deltas[dom.d],
+                faults,
+                degraded: out.degraded,
+                governor,
+                features: out.features,
+                action: out.action,
+                applied: applied[dom.cores()].to_vec(),
+            });
+        }
+    }
+
+    /// The shared prologue of every re-planning epoch: puts the
+    /// re-planning domains in their observation state (held domains keep
+    /// their partitions) and runs the machine-wide observation intervals.
+    /// Returns one domain-local [`Detection`] per domain, plus where each
+    /// domain's detection faults start in its log once routed there.
+    fn observe(
+        &mut self,
+        doms: &[Domain],
+        held: &[bool],
+        log: &mut Vec<FaultRecord>,
+        dom_logs: &mut [Vec<FaultRecord>],
+    ) -> (Vec<Detection>, Vec<usize>) {
         let n = self.sys.num_cores();
         let ways = self.sys.llc_ways();
-        let min_pc = backend::min_ways_per_core(self.sys.config());
-        // Per-branch decision data, folded into one record at the end.
-        let mut cores: Vec<CoreSample> = Vec::new();
-        let mut agg: Vec<usize> = Vec::new();
-        let mut friendly: Vec<usize> = Vec::new();
-        let mut unfriendly: Vec<usize> = Vec::new();
-        let mut trials: Vec<Trial> = Vec::new();
-        let mut winner: Option<usize> = None;
-        let mut degraded: Option<&'static str> = None;
-        let mut features_vec: Vec<f64> = Vec::new();
-        let mut action_lbl: Option<String> = None;
+        let len = doms[0].len;
+        if matches!(self.mechanism, Mechanism::Baseline | Mechanism::Dunn) {
+            // Both observe the uncontrolled machine: prefetchers on.
+            backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], log);
+            route_faults(log, dom_logs, len);
+        }
         match self.mechanism {
-            // A rollback epoch runs the restored last-good state for one
-            // more execution epoch: no profiling, no re-plan.
-            _ if rolled_back => {}
-            Mechanism::Baseline => {
-                // No control: prefetchers on, flat CAT — enforced once so a
-                // baseline run after a managed run is truly uncontrolled.
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                self.sys.reset_cat();
+            // No control: flat CAT, enforced once so a baseline run after a
+            // managed run is truly uncontrolled.
+            Mechanism::Baseline => self.sys.reset_cat(),
+            // PT never touches CAT.
+            Mechanism::Pt | Mechanism::PtFine => {}
+            // Every partitioning mechanism re-plans from the flat cache.
+            _ => {
+                for dom in doms.iter().filter(|dom| !held[dom.d]) {
+                    let flat = PartitionPlan::flat(len, ways).offset(dom.base);
+                    if flat.apply_at(&mut self.sys, dom.base, &mut dom_logs[dom.d]).is_err() {
+                        self.sys.reset_cat_domain(dom.d);
+                    }
+                }
             }
+        }
+        let dets: Vec<Detection> = match self.mechanism {
+            Mechanism::Baseline => doms.iter().map(|_| unclassified(Vec::new())).collect(),
+            // Dunn observes one all-on interval and clusters stalls.
+            Mechanism::Dunn => {
+                let d1 = backend::sample_logged(&mut self.sys, self.ctrl.sampling_interval, log);
+                doms.iter().map(|dom| unclassified(d1[dom.cores()].to_vec())).collect()
+            }
+            _ => backend::detect_domains_logged(
+                &mut self.sys,
+                &self.ctrl,
+                &self.det_cfg,
+                log,
+                doms.len(),
+            ),
+        };
+        let det_starts = dom_logs.iter().map(Vec::len).collect();
+        route_faults(log, dom_logs, len);
+        (dets, det_starts)
+    }
+
+    /// Keeps a held domain's state in force for one more execution epoch:
+    /// a rolled-back domain its restored snapshot, an RL-CBP domain its
+    /// stretched action. With `reassert`, a shared detection interval just
+    /// turned every prefetcher back on, so the held registers are written
+    /// again.
+    fn hold(
+        &mut self,
+        dom: Domain,
+        rolled_back: bool,
+        reassert: bool,
+        dlog: &mut Vec<FaultRecord>,
+        out: &mut DomainDecision,
+    ) {
+        if rolled_back {
+            if let (true, Some(snap)) = (reassert, self.governors[dom.d].snapshot()) {
+                governor::restore(&mut self.sys, dom.base, snap);
+            }
+            return;
+        }
+        let Some(mut h) = self.rl_hold[dom.d].take() else { return };
+        if reassert {
+            let gates = self.gates(dom.d);
+            if gates.pf {
+                self.write_image(dom, msr::MSR_MISC_FEATURE_CONTROL, &h.pf_image, dlog);
+            }
+            if gates.mba
+                && h.mba_image.iter().any(|&l| l != 0)
+                && cbp::mba_available(&mut self.sys, dom.base, dlog)
+            {
+                self.write_image(dom, msr::MSR_MBA_THROTTLE, &h.mba_image, dlog);
+            }
+        }
+        h.skip -= 1;
+        out.action = Some(format!("hold:{}", h.label));
+        self.rl_hold[dom.d] = Some(h);
+    }
+
+    /// Domain `dom`'s decision from its (domain-local) detection: the
+    /// mechanism's allocator, applied to the domain's cores and CAT state.
+    /// `det_start` indexes the detection's first fault record in `dlog`.
+    fn plan(
+        &mut self,
+        dom: Domain,
+        mut det: Detection,
+        dlog: &mut Vec<FaultRecord>,
+        det_start: usize,
+    ) -> DomainDecision {
+        let mut out = DomainDecision::default();
+        let ways = self.sys.llc_ways();
+        let min_pc = backend::min_ways_per_core(self.sys.config());
+        let scale = self.ctrl.partition_scale;
+        match self.mechanism {
+            Mechanism::Baseline => {}
             Mechanism::Pt => {
-                let out = pt::profile(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                self.agg_history.push(out.detection.agg.len());
-                cores = samples_of(&out.detection.interval1);
-                agg = out.detection.agg;
-                friendly = out.detection.friendly;
-                unfriendly = out.detection.unfriendly;
-                trials = out.trials;
-                winner = out.winner;
+                // PT throttles the whole Agg set (friendly included).
+                let groups = self.groups(dom, &det.agg, &det.interval1);
+                let s = backend::search_throttle_in(
+                    &mut self.sys,
+                    &groups,
+                    self.ctrl.sampling_interval,
+                    dlog,
+                    dom.base,
+                    dom.len,
+                );
+                (out.trials, out.winner) = (s.trials, s.winner);
             }
             Mechanism::PtFine => {
-                let out = pt::profile_fine(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                self.agg_history.push(out.detection.agg.len());
-                cores = samples_of(&out.detection.interval1);
-                agg = out.detection.agg;
-                friendly = out.detection.friendly;
-                unfriendly = out.detection.unfriendly;
-                trials = out.trials;
-                winner = out.winner;
+                let groups = globalize(
+                    backend::throttle_groups(
+                        &det.agg,
+                        &det.interval1,
+                        pt::FINE_EXHAUSTIVE_LIMIT,
+                        pt::FINE_GROUPS,
+                    ),
+                    dom.base,
+                );
+                let s = backend::search_throttle_levels_in(
+                    &mut self.sys,
+                    &groups,
+                    &pt::FINE_LEVELS,
+                    self.ctrl.sampling_interval,
+                    dlog,
+                    dom.base,
+                    dom.len,
+                );
+                (out.trials, out.winner) = (s.trials, s.winner);
             }
             Mechanism::Dunn => {
-                // Dunn observes one all-on interval and clusters stalls.
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let d1 =
-                    backend::sample_logged(&mut self.sys, self.ctrl.sampling_interval, &mut log);
-                let plan = dunn::dunn_plan(&d1, ways, self.ctrl.dunn_clusters);
-                if plan.apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                    degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                }
-                self.agg_history.push(0);
-                cores = samples_of(&d1);
+                let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
+                self.apply_or_noop(dom, plan, dlog, &mut out);
             }
             Mechanism::PrefCp | Mechanism::PrefCp2 => {
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
                 let plan = if self.mechanism == Mechanism::PrefCp {
-                    cp::pref_cp_plan(&det, n, ways, self.ctrl.partition_scale, min_pc)
+                    cp::pref_cp_plan(&det, dom.len, ways, scale, min_pc)
                 } else {
-                    cp::pref_cp2_plan(&det, n, ways, self.ctrl.partition_scale, min_pc)
+                    cp::pref_cp2_plan(&det, dom.len, ways, scale, min_pc)
                 };
-                if plan.apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                    degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                }
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
+                self.apply_or_noop(dom, plan, dlog, &mut out);
             }
             Mechanism::Mba => {
                 // Bandwidth-only ablation: prefetchers on, flat CAT, MBA
                 // delay-level search over the aggressor throttle groups.
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                if cbp::mba_available(&mut self.sys, 0, &mut log) {
-                    let groups = backend::throttle_groups(
-                        &det.agg,
-                        &det.interval1,
-                        self.ctrl.exhaustive_limit,
-                        self.ctrl.throttle_groups,
-                    );
-                    // detect_logged leaves every prefetcher on.
-                    let search = cbp::search_mba_levels_in(
+                if cbp::mba_available(&mut self.sys, dom.base, dlog) {
+                    let groups = self.groups(dom, &det.agg, &det.interval1);
+                    let s = cbp::search_mba_levels_in(
                         &mut self.sys,
                         &groups,
                         &cbp::MBA_LEVELS,
-                        &vec![0u64; n],
+                        &vec![0u64; dom.len],
                         self.ctrl.sampling_interval,
-                        &mut log,
-                        0,
-                        n,
+                        dlog,
+                        dom.base,
+                        dom.len,
                     );
-                    trials = search.trials;
-                    winner = search.winner;
+                    (out.trials, out.winner) = (s.trials, s.winner);
                 } else {
                     // No bandwidth knob: nothing left for the bandwidth-only
                     // mechanism to do.
-                    degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
+                    out.degrade(dlog, self.sys.now(), "fallback_noop");
                 }
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
             }
             Mechanism::CmmA | Mechanism::CmmB | Mechanism::CmmC | Mechanism::Cbp => {
+                self.govern_detection(dom, &mut det, &dlog[det_start..]);
                 let variant = match self.mechanism {
                     Mechanism::CmmB => cmm::Variant::B,
                     Mechanism::CmmC => cmm::Variant::C,
                     // CMM-a and CBP share the paper's plan (a); CBP layers
-                    // the MBA search on top of it below.
+                    // the MBA search on top of it.
                     _ => cmm::Variant::A,
                 };
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det_log_start = log.len();
-                let mut det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                // Governor defense 2: a core whose detection sample was
-                // flagged implausible is quarantined on the spot and keeps
-                // its last trusted classification, so one lying counter
-                // cannot steer this epoch's plan or the searches.
-                if let Some(g) = self.governor.as_mut() {
-                    g.observe_detection(&log[det_log_start..], self.sys.now());
-                    g.filter_detection(&mut det);
-                }
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                // Governor defense 3: consult the breakers before paying a
-                // known-dead register class's per-epoch retry tax.
-                let allow_pf = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Prefetch));
-                let allow_cat = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Cat));
-                let allow_mba = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Mba));
-                match cmm::cmm_plan(variant, &det, n, ways, self.ctrl.partition_scale, min_pc) {
-                    _ if !allow_cat => {
-                        // CAT's breaker is open: every partition plan is
-                        // doomed, so stop paying its per-epoch retry tax —
-                        // but the prefetch and MBA register classes may
-                        // well be alive, and for a prefetch-aggressive mix
-                        // they carry most of the mechanism's value. Pin a
-                        // throttle-only degradation over the flat (reset)
-                        // cache until the breaker closes.
-                        self.sys.reset_cat();
-                        degraded = Some(degrade(&mut log, self.sys.now(), "fallback_throttle"));
-                        let mut pf_image = vec![0u64; n];
-                        if allow_pf {
-                            let groups = backend::throttle_groups(
-                                &det.unfriendly,
-                                &det.interval1,
-                                self.ctrl.exhaustive_limit,
-                                self.ctrl.throttle_groups,
-                            );
-                            let search = backend::search_throttle(
-                                &mut self.sys,
-                                &groups,
-                                self.ctrl.sampling_interval,
-                                &mut log,
-                            );
-                            pf_image =
-                                search.best.iter().map(|&on| if on { 0x0 } else { 0xF }).collect();
-                            trials = search.trials;
-                            winner = search.winner;
-                        }
-                        if self.mechanism == Mechanism::Cbp
-                            && allow_mba
-                            && cbp::mba_available(&mut self.sys, 0, &mut log)
-                        {
-                            let mba_groups = backend::throttle_groups(
-                                &det.agg,
-                                &det.interval1,
-                                self.ctrl.exhaustive_limit,
-                                self.ctrl.throttle_groups,
-                            );
-                            let msearch = cbp::search_mba_levels_in(
-                                &mut self.sys,
-                                &mba_groups,
-                                &cbp::MBA_LEVELS,
-                                &pf_image,
-                                self.ctrl.sampling_interval,
-                                &mut log,
-                                0,
-                                n,
-                            );
-                            if let Some(w) = msearch.winner {
-                                winner = Some(trials.len() + w);
-                            }
-                            trials.extend(msearch.trials);
-                        }
-                    }
-                    Some(plan) => {
-                        // Coordinated order per the paper: partition first,
-                        // then search throttle settings for the unfriendly
-                        // cores inside the partitioned machine.
-                        if plan.apply(&mut self.sys, &mut log).is_ok() {
-                            // detect_logged leaves every prefetcher on; if
-                            // the prefetch breaker is open the search is
-                            // skipped and that all-on image stands.
-                            let mut pf_image = vec![0u64; n];
-                            if allow_pf {
-                                let groups = backend::throttle_groups(
-                                    &det.unfriendly,
-                                    &det.interval1,
-                                    self.ctrl.exhaustive_limit,
-                                    self.ctrl.throttle_groups,
-                                );
-                                let search = backend::search_throttle(
-                                    &mut self.sys,
-                                    &groups,
-                                    self.ctrl.sampling_interval,
-                                    &mut log,
-                                );
-                                pf_image = search
-                                    .best
-                                    .iter()
-                                    .map(|&on| if on { 0x0 } else { 0xF })
-                                    .collect();
-                                trials = search.trials;
-                                winner = search.winner;
-                            }
-                            if self.mechanism == Mechanism::Cbp {
-                                // The hierarchical third stage: with the
-                                // prefetch winner and partition in force,
-                                // search MBA delay levels for the whole
-                                // Agg set. Without the knob, CBP is
-                                // exactly CMM-a.
-                                if allow_mba && cbp::mba_available(&mut self.sys, 0, &mut log) {
-                                    let mba_groups = backend::throttle_groups(
-                                        &det.agg,
-                                        &det.interval1,
-                                        self.ctrl.exhaustive_limit,
-                                        self.ctrl.throttle_groups,
-                                    );
-                                    let msearch = cbp::search_mba_levels_in(
-                                        &mut self.sys,
-                                        &mba_groups,
-                                        &cbp::MBA_LEVELS,
-                                        &pf_image,
-                                        self.ctrl.sampling_interval,
-                                        &mut log,
-                                        0,
-                                        n,
-                                    );
-                                    if let Some(w) = msearch.winner {
-                                        winner = Some(trials.len() + w);
-                                    }
-                                    trials.extend(msearch.trials);
-                                } else {
-                                    degraded =
-                                        Some(degrade(&mut log, self.sys.now(), "fallback_cmm_a"));
-                                }
-                            }
-                        } else {
-                            // The coordinated plan could not be programmed
-                            // (e.g. CLOS exhaustion). Back out to the safe
-                            // state, then retreat down the chain: try the
-                            // less CLOS-hungry Dunn plan; if even that
-                            // fails, stay flat (no-op). Throttle search is
-                            // skipped — coordinated throttling without its
-                            // partition is not the mechanism the paper
-                            // evaluates.
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_dunn"));
-                            let plan =
-                                dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                            if plan.apply(&mut self.sys, &mut log).is_err() {
-                                self.sys.reset_cat();
-                                degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                            }
-                        }
-                    }
-                    None => {
-                        // Fig. 6 (d): empty Agg set ⇒ Dunn partitioning.
-                        let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                        if plan.apply(&mut self.sys, &mut log).is_err() {
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_noop"));
-                        }
-                    }
-                }
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
+                let with_mba = self.mechanism == Mechanism::Cbp;
+                self.cmm_leg(dom, &det, variant, with_mba, dlog, &mut out);
             }
             Mechanism::MlSel => {
-                if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                    self.sys.reset_cat();
-                }
-                let det_log_start = log.len();
-                let mut det =
-                    backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                if let Some(g) = self.governor.as_mut() {
-                    g.observe_detection(&log[det_log_start..], self.sys.now());
-                    g.filter_detection(&mut det);
-                }
-                self.agg_history.push(det.agg.len());
-                cores = samples_of(&det.interval1);
-                features_vec = learned::mean_features(&det.interval1);
-                let allow_pf = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Prefetch));
-                let allow_cat = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Cat));
+                self.govern_detection(dom, &mut det, &dlog[det_start..]);
+                out.features = learned::mean_features(&det.interval1);
+                let gates = self.gates(dom.d);
                 // Classify every core; the epoch trusts the model only if
                 // its *least* confident per-core posterior clears the floor.
                 let image: Option<Vec<u64>> = match &self.learner {
@@ -607,1067 +640,266 @@ impl<S: Substrate> Driver<S> {
                         // The zero-trial epoch: CMM-a's partition plan plus
                         // the classifier's per-core prefetch image — no
                         // profiling search at all.
-                        if allow_cat {
-                            match cmm::cmm_plan(
-                                cmm::Variant::A,
-                                &det,
-                                n,
-                                ways,
-                                self.ctrl.partition_scale,
-                                min_pc,
-                            ) {
-                                Some(plan) => {
-                                    if plan.apply(&mut self.sys, &mut log).is_err() {
-                                        self.sys.reset_cat();
-                                        degraded = Some(degrade(
-                                            &mut log,
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                                None => {
-                                    // Empty Agg set ⇒ Dunn, as in CMM.
-                                    let plan = dunn::dunn_plan(
-                                        &det.interval1,
-                                        ways,
-                                        self.ctrl.dunn_clusters,
-                                    );
-                                    if plan.apply(&mut self.sys, &mut log).is_err() {
-                                        self.sys.reset_cat();
-                                        degraded = Some(degrade(
-                                            &mut log,
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                            }
-                        } else {
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_throttle"));
+                        self.partition_cmm_a(dom, &det, dlog, &mut out);
+                        if gates.pf {
+                            self.write_image(dom, msr::MSR_MISC_FEATURE_CONTROL, &image, dlog);
                         }
-                        if allow_pf {
-                            for (c, &img) in image.iter().enumerate() {
-                                let _ = backend::write_msr_logged(
-                                    &mut self.sys,
-                                    c,
-                                    msr::MSR_MISC_FEATURE_CONTROL,
-                                    img,
-                                    &mut log,
-                                );
-                            }
-                        }
-                        action_lbl = Some(pf_label(&image));
+                        out.action = Some(pf_label(&image));
                     }
                     None => {
                         // Below the confidence floor (or no model loaded):
                         // this epoch runs the full CMM-a search instead.
-                        degraded = Some(degrade(&mut log, self.sys.now(), "fallback_cmm_a"));
-                        action_lbl = Some("fallback_cmm_a".into());
-                        let (t, w, d) = self.cmm_a_leg(&det, &mut log, allow_pf, allow_cat);
-                        trials = t;
-                        winner = w;
-                        if d.is_some() {
-                            degraded = d;
-                        }
+                        out.degrade(dlog, self.sys.now(), "fallback_cmm_a");
+                        out.action = Some("fallback_cmm_a".into());
+                        self.cmm_leg(dom, &det, cmm::Variant::A, false, dlog, &mut out);
                     }
                 }
-                agg = det.agg;
-                friendly = det.friendly;
-                unfriendly = det.unfriendly;
             }
             Mechanism::RlCbp => {
-                if self.rl_hold.is_empty() {
-                    self.rl_hold.push(None);
-                }
-                // Credit the action in force with the execution epoch's
-                // hm_ipc delta before picking the next one.
-                if let Some(Learner::Rl(rl)) = self.learner.as_mut() {
-                    if let Some(delta) = exec_ipc_delta {
-                        rl.bandit_mut(0).observe(delta);
+                self.govern_detection(dom, &mut det, &dlog[det_start..]);
+                out.features = learned::mean_features(&det.interval1);
+                let gates = self.gates(dom.d);
+                let chosen = match self.learner.as_mut() {
+                    Some(Learner::Rl(rl)) => {
+                        let b = rl.bandit_mut(dom.d);
+                        // A quiet domain gives the bandit nothing to
+                        // throttle and no usable reward — exploit the
+                        // incumbent instead of burning an exploration step
+                        // it can never evaluate.
+                        let state = learned::state_of(&det);
+                        Some(if det.agg.is_empty() { b.exploit(state) } else { b.select(state) })
                     }
-                }
-                let holding = matches!(&self.rl_hold[0], Some(h) if h.skip > 0);
-                if holding {
-                    // A stretched action stays in force: no profiling, no
-                    // re-plan — the learned epoch-length knob.
-                    let h = self.rl_hold[0].as_mut().unwrap();
-                    h.skip -= 1;
-                    action_lbl = Some(format!("hold:{}", h.label));
-                } else {
-                    if PartitionPlan::flat(n, ways).apply(&mut self.sys, &mut log).is_err() {
-                        self.sys.reset_cat();
-                    }
-                    let det_log_start = log.len();
-                    let mut det =
-                        backend::detect_logged(&mut self.sys, &self.ctrl, &self.det_cfg, &mut log);
-                    if let Some(g) = self.governor.as_mut() {
-                        g.observe_detection(&log[det_log_start..], self.sys.now());
-                        g.filter_detection(&mut det);
-                    }
-                    self.agg_history.push(det.agg.len());
-                    cores = samples_of(&det.interval1);
-                    features_vec = learned::mean_features(&det.interval1);
-                    let allow_pf =
-                        self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Prefetch));
-                    let allow_cat = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Cat));
-                    let allow_mba = self.governor.as_ref().is_none_or(|g| g.allow(RegClass::Mba));
-                    let chosen = match self.learner.as_mut() {
-                        Some(Learner::Rl(rl)) => {
-                            let b = rl.bandit_mut(0);
-                            // A quiet machine gives the bandit nothing to
-                            // throttle and no usable reward — exploit the
-                            // incumbent instead of burning an exploration
-                            // step it can never evaluate.
-                            Some(if det.agg.is_empty() {
-                                b.exploit(learned::state_of(&det))
-                            } else {
-                                b.select(learned::state_of(&det))
-                            })
+                    _ => None,
+                };
+                match chosen {
+                    Some(a) => {
+                        let act = learned::decode_action(a);
+                        if act.cat_cmm {
+                            self.partition_cmm_a(dom, &det, dlog, &mut out);
                         }
-                        _ => None,
-                    };
-                    match chosen {
-                        Some(a) => {
-                            let act = learned::decode_action(a);
-                            if act.cat_cmm {
-                                if allow_cat {
-                                    let plan = cmm::cmm_plan(
-                                        cmm::Variant::A,
-                                        &det,
-                                        n,
-                                        ways,
-                                        self.ctrl.partition_scale,
-                                        min_pc,
-                                    )
-                                    .unwrap_or_else(|| {
-                                        // Fig. 6 (d), same as a CMM-a
-                                        // epoch: empty Agg set ⇒ Dunn.
-                                        dunn::dunn_plan(
-                                            &det.interval1,
-                                            ways,
-                                            self.ctrl.dunn_clusters,
-                                        )
-                                    });
-                                    if plan.apply(&mut self.sys, &mut log).is_err() {
-                                        self.sys.reset_cat();
-                                        degraded = Some(degrade(
-                                            &mut log,
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                } else {
-                                    self.sys.reset_cat();
-                                    degraded = Some(degrade(
-                                        &mut log,
-                                        self.sys.now(),
-                                        "fallback_throttle",
-                                    ));
-                                }
-                            }
-                            let mut pf_image = vec![0u64; n];
-                            for &c in &det.unfriendly {
-                                pf_image[c] = act.pf;
-                            }
-                            if allow_pf {
-                                for (c, &img) in pf_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        c,
-                                        msr::MSR_MISC_FEATURE_CONTROL,
-                                        img,
-                                        &mut log,
-                                    );
-                                }
-                            }
-                            let mut mba_image = vec![0u64; n];
-                            for &c in &det.agg {
-                                mba_image[c] = act.mba;
-                            }
-                            if allow_mba && cbp::mba_available(&mut self.sys, 0, &mut log) {
-                                for (c, &lvl) in mba_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        c,
-                                        msr::MSR_MBA_THROTTLE,
-                                        lvl,
-                                        &mut log,
-                                    );
-                                }
-                            }
-                            let label = learned::action_label(&act);
-                            action_lbl = Some(label.clone());
-                            self.rl_hold[0] =
-                                Some(RlHold { skip: act.stretch - 1, pf_image, mba_image, label });
+                        let mut pf_image = vec![0u64; dom.len];
+                        for &c in &det.unfriendly {
+                            pf_image[c] = act.pf;
                         }
-                        None => {
-                            // No policy attached: the full CMM-a epoch.
-                            degraded = Some(degrade(&mut log, self.sys.now(), "fallback_cmm_a"));
-                            action_lbl = Some("fallback_cmm_a".into());
-                            let (t, w, d) = self.cmm_a_leg(&det, &mut log, allow_pf, allow_cat);
-                            trials = t;
-                            winner = w;
-                            if d.is_some() {
-                                degraded = d;
-                            }
+                        if gates.pf {
+                            self.write_image(dom, msr::MSR_MISC_FEATURE_CONTROL, &pf_image, dlog);
                         }
+                        let mut mba_image = vec![0u64; dom.len];
+                        for &c in &det.agg {
+                            mba_image[c] = act.mba;
+                        }
+                        if gates.mba && cbp::mba_available(&mut self.sys, dom.base, dlog) {
+                            self.write_image(dom, msr::MSR_MBA_THROTTLE, &mba_image, dlog);
+                        }
+                        let label = learned::action_label(&act);
+                        out.action = Some(label.clone());
+                        self.rl_hold[dom.d] =
+                            Some(RlHold { skip: act.stretch - 1, pf_image, mba_image, label });
                     }
-                    agg = det.agg;
-                    friendly = det.friendly;
-                    unfriendly = det.unfriendly;
+                    None => {
+                        // No policy attached: the full CMM-a epoch.
+                        out.degrade(dlog, self.sys.now(), "fallback_cmm_a");
+                        out.action = Some("fallback_cmm_a".into());
+                        self.cmm_leg(dom, &det, cmm::Variant::A, false, dlog, &mut out);
+                    }
                 }
             }
         }
-        // Anchor for the next epoch's execution-IPC measurement.
-        let anchor = backend::pmu_read_stable(&mut self.sys, &mut log);
-        self.exec_anchor = Some((self.sys.now(), anchor));
-        // Feed the epoch's fault stream through the breaker/quarantine
-        // state machines and collect the interventions for the journal.
-        let gov_events = match self.governor.as_mut() {
-            Some(g) => {
-                g.observe_faults(&log, self.sys.now());
-                g.take_events()
-            }
-            None => Vec::new(),
-        };
-        self.records.push(EpochRecord {
-            epoch: self.epochs,
-            cycle: epoch_start,
-            mechanism: self.mechanism.label(),
-            domain: None,
-            cores,
-            agg,
-            friendly,
-            unfriendly,
-            trials,
-            winner,
-            exec_hm_ipc,
-            exec_ipc_delta,
-            faults: log,
-            degraded,
-            governor: gov_events,
-            features: features_vec,
-            action: action_lbl,
-            applied: self.sys.control_state(),
-        });
+        out.cores = samples_of(&det.interval1);
+        out.agg = det.agg;
+        out.friendly = det.friendly;
+        out.unfriendly = det.unfriendly;
+        out
     }
 
-    /// The CMM-a plan + throttle search the learned mechanisms retreat to
-    /// (ML-Sel below its confidence floor, RL-CBP without a policy). A
-    /// deliberate duplicate of the `CmmA` arm's plan path, kept separate so
-    /// the legacy arm's journal output stays byte-identical.
-    fn cmm_a_leg(
+    /// The coordinated CMM epoch of one domain, in the paper's order:
+    /// partition per `variant` (Fig. 6), then search throttle settings for
+    /// the unfriendly cores inside the partitioned cache, then — with
+    /// `with_mba` (CBP) — search MBA delay levels for the whole Agg set on
+    /// top of the prefetch winner. Serves CMM-a/b/c, CBP and the learned
+    /// mechanisms' CMM-a fallback.
+    fn cmm_leg(
         &mut self,
-        det: &backend::Detection,
-        log: &mut Vec<FaultRecord>,
-        allow_pf: bool,
-        allow_cat: bool,
-    ) -> (Vec<Trial>, Option<usize>, Option<&'static str>) {
-        let n = self.sys.num_cores();
+        dom: Domain,
+        det: &Detection,
+        variant: cmm::Variant,
+        with_mba: bool,
+        dlog: &mut Vec<FaultRecord>,
+        out: &mut DomainDecision,
+    ) {
+        let gates = self.gates(dom.d);
         let ways = self.sys.llc_ways();
         let min_pc = backend::min_ways_per_core(self.sys.config());
-        let mut degraded = None;
-        if !allow_cat {
-            self.sys.reset_cat();
-            degraded = Some(degrade(log, self.sys.now(), "fallback_throttle"));
+        if !gates.cat {
+            // CAT's breaker is open: every partition plan is doomed, so
+            // stop paying its per-epoch retry tax — but the prefetch and
+            // MBA register classes may well be alive, and for a
+            // prefetch-aggressive mix they carry most of the mechanism's
+            // value. Pin a throttle-only degradation over the flat (reset)
+            // cache until the breaker closes.
+            self.sys.reset_cat_domain(dom.d);
+            out.degrade(dlog, self.sys.now(), "fallback_throttle");
         } else {
-            match cmm::cmm_plan(cmm::Variant::A, det, n, ways, self.ctrl.partition_scale, min_pc) {
+            let clusters = self.ctrl.dunn_clusters;
+            let dunn = || dunn::dunn_plan(&det.interval1, ways, clusters);
+            match cmm::cmm_plan(variant, det, dom.len, ways, self.ctrl.partition_scale, min_pc) {
                 Some(plan) => {
-                    if plan.apply(&mut self.sys, log).is_err() {
-                        // Same retreat chain as CMM-a: Dunn, then no-op —
-                        // and no throttle search without the partition.
-                        self.sys.reset_cat();
-                        degraded = Some(degrade(log, self.sys.now(), "fallback_dunn"));
-                        let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                        if plan.apply(&mut self.sys, log).is_err() {
-                            self.sys.reset_cat();
-                            degraded = Some(degrade(log, self.sys.now(), "fallback_noop"));
-                        }
-                        return (Vec::new(), None, degraded);
+                    if plan.offset(dom.base).apply_at(&mut self.sys, dom.base, dlog).is_err() {
+                        // The coordinated plan could not be programmed
+                        // (e.g. CLOS exhaustion). Back out to the safe
+                        // state, then retreat down the chain: try the less
+                        // CLOS-hungry Dunn plan; if even that fails, stay
+                        // flat (no-op). Throttle search is skipped —
+                        // coordinated throttling without its partition is
+                        // not the mechanism the paper evaluates.
+                        self.sys.reset_cat_domain(dom.d);
+                        out.degrade(dlog, self.sys.now(), "fallback_dunn");
+                        self.apply_or_noop(dom, dunn(), dlog, out);
+                        return;
                     }
                 }
                 None => {
-                    // Empty Agg set ⇒ Dunn partitioning, nothing to search.
-                    let plan = dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters);
-                    if plan.apply(&mut self.sys, log).is_err() {
-                        self.sys.reset_cat();
-                        degraded = Some(degrade(log, self.sys.now(), "fallback_noop"));
-                    }
-                    return (Vec::new(), None, degraded);
+                    // Fig. 6 (d): empty Agg set ⇒ Dunn partitioning,
+                    // nothing to search.
+                    self.apply_or_noop(dom, dunn(), dlog, out);
+                    return;
                 }
             }
         }
-        if allow_pf {
-            let groups = backend::throttle_groups(
-                &det.unfriendly,
-                &det.interval1,
-                self.ctrl.exhaustive_limit,
-                self.ctrl.throttle_groups,
+        // Detection leaves every prefetcher on; if the prefetch breaker is
+        // open the search is skipped and that all-on image stands.
+        let mut pf_image = vec![0u64; dom.len];
+        if gates.pf {
+            let groups = self.groups(dom, &det.unfriendly, &det.interval1);
+            let s = backend::search_throttle_in(
+                &mut self.sys,
+                &groups,
+                self.ctrl.sampling_interval,
+                dlog,
+                dom.base,
+                dom.len,
             );
-            let search =
-                backend::search_throttle(&mut self.sys, &groups, self.ctrl.sampling_interval, log);
-            (search.trials, search.winner, degraded)
-        } else {
-            (Vec::new(), None, degraded)
+            pf_image = s.best.iter().map(|&on| if on { 0x0 } else { 0xF }).collect();
+            (out.trials, out.winner) = (s.trials, s.winner);
+        }
+        if with_mba {
+            if gates.mba && cbp::mba_available(&mut self.sys, dom.base, dlog) {
+                let groups = self.groups(dom, &det.agg, &det.interval1);
+                let s = cbp::search_mba_levels_in(
+                    &mut self.sys,
+                    &groups,
+                    &cbp::MBA_LEVELS,
+                    &pf_image,
+                    self.ctrl.sampling_interval,
+                    dlog,
+                    dom.base,
+                    dom.len,
+                );
+                if let Some(w) = s.winner {
+                    out.winner = Some(out.trials.len() + w);
+                }
+                out.trials.extend(s.trials);
+            } else if gates.cat {
+                // Without the bandwidth knob CBP is exactly CMM-a.
+                out.degrade(dlog, self.sys.now(), "fallback_cmm_a");
+            }
         }
     }
 
-    /// [`Driver::cmm_a_leg`] scoped to one CAT domain (the multi-socket
-    /// learned fallback). The governor is single-socket scoped, so there
-    /// are no breaker gates here — matching the legacy multi-socket arms.
-    fn cmm_a_leg_at(
+    /// CMM-a's partition plan (Dunn's on an empty Agg set) with no search
+    /// — the learned mechanisms' partition. Throttle-only over the flat
+    /// cache while the CAT breaker is open.
+    fn partition_cmm_a(
         &mut self,
-        det: &backend::Detection,
-        d: usize,
-        base: usize,
-        len: usize,
-        ways: u32,
+        dom: Domain,
+        det: &Detection,
         dlog: &mut Vec<FaultRecord>,
-    ) -> (Vec<Trial>, Option<usize>, Option<&'static str>) {
-        let min_pc = backend::min_ways_per_core(self.sys.config());
-        let mut degraded = None;
-        match cmm::cmm_plan(cmm::Variant::A, det, len, ways, self.ctrl.partition_scale, min_pc) {
-            Some(plan) => {
-                if plan.offset(base).apply_at(&mut self.sys, base, dlog).is_err() {
-                    self.sys.reset_cat_domain(d);
-                    degraded = Some(degrade(dlog, self.sys.now(), "fallback_dunn"));
-                    let plan =
-                        dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters).offset(base);
-                    if plan.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                        degraded = Some(degrade(dlog, self.sys.now(), "fallback_noop"));
-                    }
-                    return (Vec::new(), None, degraded);
-                }
-            }
-            None => {
-                let plan =
-                    dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters).offset(base);
-                if plan.apply_at(&mut self.sys, base, dlog).is_err() {
-                    self.sys.reset_cat_domain(d);
-                    degraded = Some(degrade(dlog, self.sys.now(), "fallback_noop"));
-                }
-                return (Vec::new(), None, degraded);
-            }
+        out: &mut DomainDecision,
+    ) {
+        if !self.gates(dom.d).cat {
+            self.sys.reset_cat_domain(dom.d);
+            out.degrade(dlog, self.sys.now(), "fallback_throttle");
+            return;
         }
-        let groups = globalize(
-            backend::throttle_groups(
-                &det.unfriendly,
-                &det.interval1,
-                self.ctrl.exhaustive_limit,
-                self.ctrl.throttle_groups,
-            ),
-            base,
-        );
-        let search = backend::search_throttle_in(
-            &mut self.sys,
-            &groups,
-            self.ctrl.sampling_interval,
-            dlog,
-            base,
-            len,
-        );
-        (search.trials, search.winner, degraded)
-    }
-
-    /// One profiling epoch on a multi-socket machine: one controller
-    /// instance per CAT domain, run "concurrently" — the detection
-    /// intervals are shared across domains (two machine-wide samples total,
-    /// see [`backend::detect_domains_logged`]), then each domain makes and
-    /// applies its own decision against its socket's CAT state and cores.
-    /// Throttle-search trial intervals do run per domain in sequence (each
-    /// trial must measure its own domain undisturbed), which is also how
-    /// independent per-socket daemons would interleave in wall-clock time.
-    ///
-    /// Appends one [`EpochRecord`] per domain, all stamped with this
-    /// epoch's index and start cycle. Faults are attributed to the domain
-    /// whose controller section observed them; machine-wide faults with a
-    /// core id are routed to that core's domain, core-less ones to domain 0.
-    fn epoch_multi(&mut self) {
-        self.epochs += 1;
-        let epoch_start = self.sys.now();
-        let topo = self.sys.config().topology;
-        let domains = topo.sockets;
-        let len = topo.cores_per_socket;
-        let mut log: Vec<FaultRecord> = Vec::new();
-        let mut dom_logs: Vec<Vec<FaultRecord>> = vec![Vec::new(); domains];
-        // How did the execution epoch each domain just finished perform?
-        let exec_hms: Vec<Option<f64>> = match self.exec_anchor.take() {
-            Some((anchor_cycle, anchor)) if self.sys.now() > anchor_cycle => {
-                let current = backend::pmu_read_stable(&mut self.sys, &mut log);
-                let deltas: Vec<PmuDelta> =
-                    current.iter().zip(anchor).map(|(&c, a)| c - a).collect();
-                (0..domains)
-                    .map(|d| Some(backend::sample_hm_ipc(&deltas[d * len..(d + 1) * len])))
-                    .collect()
-            }
-            _ => vec![None; domains],
-        };
-        if self.prev_exec_hm_dom.len() != domains {
-            self.prev_exec_hm_dom = vec![None; domains];
-        }
-        let exec_deltas: Vec<Option<f64>> = (0..domains)
-            .map(|d| match (exec_hms[d], self.prev_exec_hm_dom[d]) {
-                (Some(cur), Some(prev)) => Some(cur - prev),
-                _ => None,
-            })
-            .collect();
-        for (prev, cur) in self.prev_exec_hm_dom.iter_mut().zip(&exec_hms) {
-            if cur.is_some() {
-                *prev = *cur;
-            }
-        }
-        if self.mechanism != Mechanism::Baseline {
-            // One controller instance per domain does its own bookkeeping.
-            self.overhead_cycles += self.ctrl.overhead_cycles * domains as u64;
-        }
-        let n = self.sys.num_cores();
         let ways = self.sys.llc_ways();
         let min_pc = backend::min_ways_per_core(self.sys.config());
-        // Per-domain decision data, folded into one record per domain.
-        #[derive(Default)]
-        struct DomainDecision {
-            cores: Vec<CoreSample>,
-            agg: Vec<usize>,
-            friendly: Vec<usize>,
-            unfriendly: Vec<usize>,
-            trials: Vec<Trial>,
-            winner: Option<usize>,
-            degraded: Option<&'static str>,
-            features: Vec<f64>,
-            action: Option<String>,
+        let plan =
+            cmm::cmm_plan(cmm::Variant::A, det, dom.len, ways, self.ctrl.partition_scale, min_pc)
+                .unwrap_or_else(|| dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters));
+        self.apply_or_noop(dom, plan, dlog, out);
+    }
+
+    /// Programs the domain-local `plan` on `dom`. On failure the domain
+    /// backs out to its flat safe state and `out` records a no-op
+    /// degradation.
+    fn apply_or_noop(
+        &mut self,
+        dom: Domain,
+        plan: PartitionPlan,
+        dlog: &mut Vec<FaultRecord>,
+        out: &mut DomainDecision,
+    ) {
+        if plan.offset(dom.base).apply_at(&mut self.sys, dom.base, dlog).is_err() {
+            self.sys.reset_cat_domain(dom.d);
+            out.degrade(dlog, self.sys.now(), "fallback_noop");
         }
-        let mut outs: Vec<DomainDecision> =
-            (0..domains).map(|_| DomainDecision::default()).collect();
-        match self.mechanism {
-            Mechanism::Baseline => {
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                self.sys.reset_cat();
-            }
-            Mechanism::Pt | Mechanism::PtFine => {
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    let dlog = &mut dom_logs[d];
-                    // PT throttles the whole Agg set (friendly included).
-                    let groups = globalize(
-                        backend::throttle_groups(
-                            &det.agg,
-                            &det.interval1,
-                            self.ctrl.exhaustive_limit,
-                            self.ctrl.throttle_groups,
-                        ),
-                        base,
-                    );
-                    let (trials, winner) = if self.mechanism == Mechanism::Pt {
-                        let s = backend::search_throttle_in(
-                            &mut self.sys,
-                            &groups,
-                            self.ctrl.sampling_interval,
-                            dlog,
-                            base,
-                            len,
-                        );
-                        (s.trials, s.winner)
-                    } else {
-                        let s = backend::search_throttle_levels_in(
-                            &mut self.sys,
-                            &groups,
-                            &pt::FINE_LEVELS,
-                            self.ctrl.sampling_interval,
-                            dlog,
-                            base,
-                            len,
-                        );
-                        (s.trials, s.winner)
-                    };
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                    outs[d].trials = trials;
-                    outs[d].winner = winner;
-                }
-            }
-            Mechanism::Dunn => {
-                backend::apply_prefetch_logged(&mut self.sys, &vec![true; n], &mut log);
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let d1 =
-                    backend::sample_logged(&mut self.sys, self.ctrl.sampling_interval, &mut log);
-                self.agg_history.push(0);
-                route_faults(&mut log, &mut dom_logs, len);
-                for d in 0..domains {
-                    let base = d * len;
-                    let local = &d1[base..base + len];
-                    let plan = dunn::dunn_plan(local, ways, self.ctrl.dunn_clusters).offset(base);
-                    if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                        self.sys.reset_cat_domain(d);
-                        outs[d].degraded =
-                            Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_noop"));
-                    }
-                    outs[d].cores = samples_of(local);
-                }
-            }
-            Mechanism::PrefCp | Mechanism::PrefCp2 => {
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    let plan = if self.mechanism == Mechanism::PrefCp {
-                        cp::pref_cp_plan(&det, len, ways, self.ctrl.partition_scale, min_pc)
-                    } else {
-                        cp::pref_cp2_plan(&det, len, ways, self.ctrl.partition_scale, min_pc)
-                    };
-                    if plan.offset(base).apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                        self.sys.reset_cat_domain(d);
-                        outs[d].degraded =
-                            Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_noop"));
-                    }
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
-            }
-            Mechanism::Mba => {
-                // Bandwidth-only ablation per domain: flat CAT, prefetchers
-                // on, MBA search over each domain's aggressor groups.
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    if cbp::mba_available(&mut self.sys, base, &mut dom_logs[d]) {
-                        let groups = globalize(
-                            backend::throttle_groups(
-                                &det.agg,
-                                &det.interval1,
-                                self.ctrl.exhaustive_limit,
-                                self.ctrl.throttle_groups,
-                            ),
-                            base,
-                        );
-                        let search = cbp::search_mba_levels_in(
-                            &mut self.sys,
-                            &groups,
-                            &cbp::MBA_LEVELS,
-                            &vec![0u64; len],
-                            self.ctrl.sampling_interval,
-                            &mut dom_logs[d],
-                            base,
-                            len,
-                        );
-                        outs[d].trials = search.trials;
-                        outs[d].winner = search.winner;
-                    } else {
-                        outs[d].degraded =
-                            Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_noop"));
-                    }
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
-            }
-            Mechanism::CmmA | Mechanism::CmmB | Mechanism::CmmC | Mechanism::Cbp => {
-                let variant = match self.mechanism {
-                    Mechanism::CmmB => cmm::Variant::B,
-                    Mechanism::CmmC => cmm::Variant::C,
-                    // CMM-a and CBP share plan (a); CBP layers the MBA
-                    // search per domain below.
-                    _ => cmm::Variant::A,
-                };
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    outs[d].cores = samples_of(&det.interval1);
-                    match cmm::cmm_plan(variant, &det, len, ways, self.ctrl.partition_scale, min_pc)
-                    {
-                        Some(plan) => {
-                            if plan
-                                .offset(base)
-                                .apply_at(&mut self.sys, base, &mut dom_logs[d])
-                                .is_ok()
-                            {
-                                let groups = globalize(
-                                    backend::throttle_groups(
-                                        &det.unfriendly,
-                                        &det.interval1,
-                                        self.ctrl.exhaustive_limit,
-                                        self.ctrl.throttle_groups,
-                                    ),
-                                    base,
-                                );
-                                let search = backend::search_throttle_in(
-                                    &mut self.sys,
-                                    &groups,
-                                    self.ctrl.sampling_interval,
-                                    &mut dom_logs[d],
-                                    base,
-                                    len,
-                                );
-                                outs[d].trials = search.trials;
-                                outs[d].winner = search.winner;
-                                if self.mechanism == Mechanism::Cbp {
-                                    if cbp::mba_available(&mut self.sys, base, &mut dom_logs[d]) {
-                                        let pf_image: Vec<u64> = search
-                                            .best
-                                            .iter()
-                                            .map(|&on| if on { 0x0 } else { 0xF })
-                                            .collect();
-                                        let mba_groups = globalize(
-                                            backend::throttle_groups(
-                                                &det.agg,
-                                                &det.interval1,
-                                                self.ctrl.exhaustive_limit,
-                                                self.ctrl.throttle_groups,
-                                            ),
-                                            base,
-                                        );
-                                        let msearch = cbp::search_mba_levels_in(
-                                            &mut self.sys,
-                                            &mba_groups,
-                                            &cbp::MBA_LEVELS,
-                                            &pf_image,
-                                            self.ctrl.sampling_interval,
-                                            &mut dom_logs[d],
-                                            base,
-                                            len,
-                                        );
-                                        if let Some(w) = msearch.winner {
-                                            outs[d].winner = Some(outs[d].trials.len() + w);
-                                        }
-                                        outs[d].trials.extend(msearch.trials);
-                                    } else {
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_cmm_a",
-                                        ));
-                                    }
-                                }
-                            } else {
-                                // Same retreat chain as the single-socket
-                                // path, scoped to this domain's CAT state.
-                                self.sys.reset_cat_domain(d);
-                                outs[d].degraded = Some(degrade(
-                                    &mut dom_logs[d],
-                                    self.sys.now(),
-                                    "fallback_dunn",
-                                ));
-                                let plan =
-                                    dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters)
-                                        .offset(base);
-                                if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                                    self.sys.reset_cat_domain(d);
-                                    outs[d].degraded = Some(degrade(
-                                        &mut dom_logs[d],
-                                        self.sys.now(),
-                                        "fallback_noop",
-                                    ));
-                                }
-                            }
-                        }
-                        None => {
-                            let plan =
-                                dunn::dunn_plan(&det.interval1, ways, self.ctrl.dunn_clusters)
-                                    .offset(base);
-                            if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err() {
-                                self.sys.reset_cat_domain(d);
-                                outs[d].degraded = Some(degrade(
-                                    &mut dom_logs[d],
-                                    self.sys.now(),
-                                    "fallback_noop",
-                                ));
-                            }
-                        }
-                    }
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
-            }
-            Mechanism::MlSel => {
-                for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                    let base = d * len;
-                    let flat = PartitionPlan::flat(len, ways).offset(base);
-                    if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                        self.sys.reset_cat_domain(d);
-                    }
-                }
-                let dets = backend::detect_domains_logged(
-                    &mut self.sys,
-                    &self.ctrl,
-                    &self.det_cfg,
-                    &mut log,
-                    domains,
-                );
-                self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                route_faults(&mut log, &mut dom_logs, len);
-                for (d, det) in dets.into_iter().enumerate() {
-                    let base = d * len;
-                    outs[d].cores = samples_of(&det.interval1);
-                    outs[d].features = learned::mean_features(&det.interval1);
-                    let image: Option<Vec<u64>> = match &self.learner {
-                        Some(Learner::Ml { model, floor }) => {
-                            let preds: Vec<_> = det
-                                .interval1
-                                .iter()
-                                .map(|delta| model.predict(&learned::core_features(delta)))
-                                .collect();
-                            let min_conf =
-                                preds.iter().map(|p| p.confidence).fold(f64::INFINITY, f64::min);
-                            (min_conf >= *floor)
-                                .then(|| preds.iter().map(|p| model.labels[p.class]).collect())
-                        }
-                        _ => None,
-                    };
-                    match image {
-                        Some(image) => {
-                            match cmm::cmm_plan(
-                                cmm::Variant::A,
-                                &det,
-                                len,
-                                ways,
-                                self.ctrl.partition_scale,
-                                min_pc,
-                            ) {
-                                Some(plan) => {
-                                    if plan
-                                        .offset(base)
-                                        .apply_at(&mut self.sys, base, &mut dom_logs[d])
-                                        .is_err()
-                                    {
-                                        self.sys.reset_cat_domain(d);
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                                None => {
-                                    let plan = dunn::dunn_plan(
-                                        &det.interval1,
-                                        ways,
-                                        self.ctrl.dunn_clusters,
-                                    )
-                                    .offset(base);
-                                    if plan.apply_at(&mut self.sys, base, &mut dom_logs[d]).is_err()
-                                    {
-                                        self.sys.reset_cat_domain(d);
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                            }
-                            for (c, &img) in image.iter().enumerate() {
-                                let _ = backend::write_msr_logged(
-                                    &mut self.sys,
-                                    base + c,
-                                    msr::MSR_MISC_FEATURE_CONTROL,
-                                    img,
-                                    &mut dom_logs[d],
-                                );
-                            }
-                            outs[d].action = Some(pf_label(&image));
-                        }
-                        None => {
-                            outs[d].degraded =
-                                Some(degrade(&mut dom_logs[d], self.sys.now(), "fallback_cmm_a"));
-                            outs[d].action = Some("fallback_cmm_a".into());
-                            let (t, w, dg) =
-                                self.cmm_a_leg_at(&det, d, base, len, ways, &mut dom_logs[d]);
-                            outs[d].trials = t;
-                            outs[d].winner = w;
-                            if dg.is_some() {
-                                outs[d].degraded = dg;
-                            }
-                        }
-                    }
-                    outs[d].agg = det.agg;
-                    outs[d].friendly = det.friendly;
-                    outs[d].unfriendly = det.unfriendly;
-                }
-            }
-            Mechanism::RlCbp => {
-                if self.rl_hold.len() != domains {
-                    self.rl_hold = (0..domains).map(|_| None).collect();
-                }
-                // Credit each domain's action in force with its execution
-                // epoch's hm_ipc delta.
-                if let Some(Learner::Rl(rl)) = self.learner.as_mut() {
-                    for (d, delta) in exec_deltas.iter().enumerate() {
-                        if let Some(delta) = delta {
-                            rl.bandit_mut(d).observe(*delta);
-                        }
-                    }
-                }
-                let all_hold =
-                    (0..domains).all(|d| matches!(&self.rl_hold[d], Some(h) if h.skip > 0));
-                if all_hold {
-                    // Every domain's action is stretched: no profiling at
-                    // all this epoch.
-                    for (d, out) in outs.iter_mut().enumerate() {
-                        let h = self.rl_hold[d].as_mut().unwrap();
-                        h.skip -= 1;
-                        out.action = Some(format!("hold:{}", h.label));
-                    }
-                } else {
-                    for (d, dlog) in dom_logs.iter_mut().enumerate() {
-                        // Held partitions persist; only re-planning domains
-                        // reset to flat.
-                        if !matches!(&self.rl_hold[d], Some(h) if h.skip > 0) {
-                            let base = d * len;
-                            let flat = PartitionPlan::flat(len, ways).offset(base);
-                            if flat.apply_at(&mut self.sys, base, dlog).is_err() {
-                                self.sys.reset_cat_domain(d);
-                            }
-                        }
-                    }
-                    let dets = backend::detect_domains_logged(
-                        &mut self.sys,
-                        &self.ctrl,
-                        &self.det_cfg,
-                        &mut log,
-                        domains,
-                    );
-                    self.agg_history.push(dets.iter().map(|det| det.agg.len()).sum());
-                    route_faults(&mut log, &mut dom_logs, len);
-                    for (d, det) in dets.into_iter().enumerate() {
-                        let base = d * len;
-                        if matches!(&self.rl_hold[d], Some(h) if h.skip > 0) {
-                            // The shared detection interval turned every
-                            // prefetcher back on: re-assert the held
-                            // action's register images and keep holding.
-                            let mut h = self.rl_hold[d].take().unwrap();
-                            for (c, &img) in h.pf_image.iter().enumerate() {
-                                let _ = backend::write_msr_logged(
-                                    &mut self.sys,
-                                    base + c,
-                                    msr::MSR_MISC_FEATURE_CONTROL,
-                                    img,
-                                    &mut dom_logs[d],
-                                );
-                            }
-                            if h.mba_image.iter().any(|&l| l != 0)
-                                && cbp::mba_available(&mut self.sys, base, &mut dom_logs[d])
-                            {
-                                for (c, &lvl) in h.mba_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        base + c,
-                                        msr::MSR_MBA_THROTTLE,
-                                        lvl,
-                                        &mut dom_logs[d],
-                                    );
-                                }
-                            }
-                            h.skip -= 1;
-                            outs[d].action = Some(format!("hold:{}", h.label));
-                            self.rl_hold[d] = Some(h);
-                            continue;
-                        }
-                        outs[d].cores = samples_of(&det.interval1);
-                        outs[d].features = learned::mean_features(&det.interval1);
-                        let chosen = match self.learner.as_mut() {
-                            Some(Learner::Rl(rl)) => {
-                                let b = rl.bandit_mut(d);
-                                // Quiet domain: exploit, don't explore
-                                // (same rationale as the single-socket
-                                // arm above).
-                                Some(if det.agg.is_empty() {
-                                    b.exploit(learned::state_of(&det))
-                                } else {
-                                    b.select(learned::state_of(&det))
-                                })
-                            }
-                            _ => None,
-                        };
-                        match chosen {
-                            Some(a) => {
-                                let act = learned::decode_action(a);
-                                if act.cat_cmm {
-                                    let plan = cmm::cmm_plan(
-                                        cmm::Variant::A,
-                                        &det,
-                                        len,
-                                        ways,
-                                        self.ctrl.partition_scale,
-                                        min_pc,
-                                    )
-                                    .unwrap_or_else(|| {
-                                        // Fig. 6 (d), same as a CMM-a
-                                        // epoch: empty Agg set ⇒ Dunn.
-                                        dunn::dunn_plan(
-                                            &det.interval1,
-                                            ways,
-                                            self.ctrl.dunn_clusters,
-                                        )
-                                    });
-                                    if plan
-                                        .offset(base)
-                                        .apply_at(&mut self.sys, base, &mut dom_logs[d])
-                                        .is_err()
-                                    {
-                                        self.sys.reset_cat_domain(d);
-                                        outs[d].degraded = Some(degrade(
-                                            &mut dom_logs[d],
-                                            self.sys.now(),
-                                            "fallback_noop",
-                                        ));
-                                    }
-                                }
-                                let mut pf_image = vec![0u64; len];
-                                for &c in &det.unfriendly {
-                                    pf_image[c] = act.pf;
-                                }
-                                for (c, &img) in pf_image.iter().enumerate() {
-                                    let _ = backend::write_msr_logged(
-                                        &mut self.sys,
-                                        base + c,
-                                        msr::MSR_MISC_FEATURE_CONTROL,
-                                        img,
-                                        &mut dom_logs[d],
-                                    );
-                                }
-                                let mut mba_image = vec![0u64; len];
-                                for &c in &det.agg {
-                                    mba_image[c] = act.mba;
-                                }
-                                if cbp::mba_available(&mut self.sys, base, &mut dom_logs[d]) {
-                                    for (c, &lvl) in mba_image.iter().enumerate() {
-                                        let _ = backend::write_msr_logged(
-                                            &mut self.sys,
-                                            base + c,
-                                            msr::MSR_MBA_THROTTLE,
-                                            lvl,
-                                            &mut dom_logs[d],
-                                        );
-                                    }
-                                }
-                                let label = learned::action_label(&act);
-                                outs[d].action = Some(label.clone());
-                                self.rl_hold[d] = Some(RlHold {
-                                    skip: act.stretch - 1,
-                                    pf_image,
-                                    mba_image,
-                                    label,
-                                });
-                            }
-                            None => {
-                                outs[d].degraded = Some(degrade(
-                                    &mut dom_logs[d],
-                                    self.sys.now(),
-                                    "fallback_cmm_a",
-                                ));
-                                outs[d].action = Some("fallback_cmm_a".into());
-                                let (t, w, dg) =
-                                    self.cmm_a_leg_at(&det, d, base, len, ways, &mut dom_logs[d]);
-                                outs[d].trials = t;
-                                outs[d].winner = w;
-                                if dg.is_some() {
-                                    outs[d].degraded = dg;
-                                }
-                            }
-                        }
-                        outs[d].agg = det.agg;
-                        outs[d].friendly = det.friendly;
-                        outs[d].unfriendly = det.unfriendly;
-                    }
-                }
-            }
+    }
+
+    /// Writes a domain-local per-core register image. Per-core failures
+    /// are journaled and tolerated, like every throttle write.
+    fn write_image(&mut self, dom: Domain, msr: u32, image: &[u64], dlog: &mut Vec<FaultRecord>) {
+        for (c, &v) in image.iter().enumerate() {
+            let _ = backend::write_msr_logged(&mut self.sys, dom.base + c, msr, v, dlog);
         }
-        // Anchor for the next epoch's execution-IPC measurement.
-        let anchor = backend::pmu_read_stable(&mut self.sys, &mut log);
-        self.exec_anchor = Some((self.sys.now(), anchor));
-        route_faults(&mut log, &mut dom_logs, len);
-        let applied = self.sys.control_state();
-        for (d, out) in outs.into_iter().enumerate() {
-            let base = d * len;
-            self.records.push(EpochRecord {
-                epoch: self.epochs,
-                cycle: epoch_start,
-                mechanism: self.mechanism.label(),
-                domain: Some(d),
-                cores: out.cores,
-                agg: out.agg,
-                friendly: out.friendly,
-                unfriendly: out.unfriendly,
-                trials: out.trials,
-                winner: out.winner,
-                exec_hm_ipc: exec_hms[d],
-                exec_ipc_delta: exec_deltas[d],
-                faults: std::mem::take(&mut dom_logs[d]),
-                degraded: out.degraded,
-                // The governor is single-socket scoped for now; a
-                // per-domain governor is future work.
-                governor: Vec::new(),
-                features: out.features,
-                action: out.action,
-                applied: applied[base..base + len].to_vec(),
-            });
+    }
+
+    /// Throttle groups over the domain-local `cores`, in global core ids.
+    fn groups(&self, dom: Domain, cores: &[usize], interval1: &[PmuDelta]) -> Vec<Vec<usize>> {
+        let groups = backend::throttle_groups(
+            cores,
+            interval1,
+            self.ctrl.exhaustive_limit,
+            self.ctrl.throttle_groups,
+        );
+        globalize(groups, dom.base)
+    }
+
+    /// Feeds a domain's epoch fault stream through its governor's breaker
+    /// and quarantine state machines and returns the interventions for
+    /// the journal (none when ungoverned).
+    fn govern_faults(
+        &mut self,
+        dom: Domain,
+        faults: &[FaultRecord],
+        cycle: u64,
+    ) -> Vec<GovernorEvent> {
+        match self.governors.get_mut(dom.d) {
+            Some(g) => {
+                g.observe_faults(&dom.local(faults), cycle);
+                g.take_events()
+            }
+            None => Vec::new(),
+        }
+    }
+
+    /// The domain's breaker verdicts.
+    fn gates(&self, d: usize) -> Gates {
+        let allow = |class| self.governors.get(d).is_none_or(|g| g.allow(class));
+        Gates {
+            pf: allow(RegClass::Prefetch),
+            cat: allow(RegClass::Cat),
+            mba: allow(RegClass::Mba),
+        }
+    }
+
+    /// Governor defense 2: a core whose detection sample was flagged
+    /// implausible (`det_faults`) is quarantined on the spot and keeps its
+    /// last trusted classification, so one lying counter cannot steer
+    /// this epoch's plan or the searches.
+    fn govern_detection(&mut self, dom: Domain, det: &mut Detection, det_faults: &[FaultRecord]) {
+        if let Some(g) = self.governors.get_mut(dom.d) {
+            g.observe_detection(&dom.local(det_faults), self.sys.now());
+            g.filter_detection(det);
         }
     }
 }
@@ -1678,15 +910,16 @@ fn pf_label(image: &[u64]) -> String {
     format!("pf=[{}]", imgs.join(","))
 }
 
-/// Records an epoch-level degradation decision and returns its label for
-/// [`EpochRecord::degraded`].
-fn degrade(log: &mut Vec<FaultRecord>, cycle: u64, action: &'static str) -> &'static str {
-    log.push(FaultRecord { cycle, kind: "degraded", core: None, msr: None, action });
-    match action {
-        "fallback_cmm_a" => "CMM-a",
-        "fallback_dunn" => "Dunn",
-        "fallback_throttle" => "throttle-only",
-        _ => "no-op",
+/// A [`Detection`] that classifies nothing: the observed interval of a
+/// mechanism that only clusters stalls (Dunn), or none at all (the
+/// baseline).
+fn unclassified(interval1: Vec<PmuDelta>) -> Detection {
+    Detection {
+        interval1,
+        agg: Vec::new(),
+        friendly: Vec::new(),
+        unfriendly: Vec::new(),
+        profiling_cycles: 0,
     }
 }
 
@@ -1716,11 +949,18 @@ fn samples_of(deltas: &[PmuDelta]) -> Vec<CoreSample> {
 mod tests {
     use super::*;
     use cmm_sim::config::SystemConfig;
+    use cmm_sim::system::CoreControl;
     use cmm_sim::workload::Workload;
     use cmm_workloads::spec;
 
     fn system_with(names: &[&str]) -> System {
-        let cfg = SystemConfig::scaled(names.len());
+        system_on(1, names)
+    }
+
+    /// `names` on `sockets` equal CAT domains.
+    fn system_on(sockets: usize, names: &[&str]) -> System {
+        let mut cfg = SystemConfig::scaled(names.len());
+        cfg.set_topology(cmm_sim::config::Topology::grid(sockets, names.len() / sockets));
         let llc = cfg.llc.size_bytes;
         let ws: Vec<Box<dyn Workload + Send>> = names
             .iter()
@@ -2009,7 +1249,7 @@ mod tests {
         // Arm the governor by hand: a fault was observed and the
         // last-known-good hm_ipc is implausibly high, so the next
         // measurement reads as a regression past the bound.
-        let g = drv.governor.as_mut().unwrap();
+        let g = &mut drv.governors[0];
         g.accept(1e6);
         g.observe_faults(
             &[FaultRecord {
@@ -2021,13 +1261,13 @@ mod tests {
             }],
             0,
         );
-        let snapshot = drv.governor.as_ref().unwrap().snapshot().unwrap().to_vec();
+        let snapshot = drv.governors[0].snapshot().unwrap().to_vec();
         drv.system_mut().run(100_000);
         drv.epoch();
         let rec = &drv.records()[before..].last().unwrap();
         assert!(rec.governor.iter().any(|e| e.action == "rollback"), "{:?}", rec.governor);
         assert!(rec.faults.iter().any(|f| f.action == "kept_last_good"), "{:?}", rec.faults);
-        assert_eq!(drv.governor().unwrap().rollbacks(), 1);
+        assert_eq!(drv.governors()[0].rollbacks(), 1);
         // The rollback epoch re-runs the restored state: no profiling, no
         // re-plan, and the applied read-back equals the snapshot.
         assert!(rec.cores.is_empty() && rec.trials.is_empty());
@@ -2050,7 +1290,7 @@ mod tests {
         let mut drv = Driver::new(mk(), Mechanism::CmmA, ControllerConfig::quick())
             .with_governor(GovernorConfig::new(1));
         drv.system_mut().run(600_000);
-        drv.governor.as_mut().unwrap().observe_faults(
+        drv.governors[0].observe_faults(
             &[FaultRecord {
                 cycle: 0,
                 kind: "pmu_anomaly",
@@ -2229,6 +1469,155 @@ mod tests {
         }
         for pair in recs.windows(2) {
             assert!(pair[0].cycle < pair[1].cycle, "cycles must advance");
+        }
+    }
+
+    /// Two domains of four: socket 0 hosts the usual aggressor pair next
+    /// to a chaser and a core-bound loop, socket 1 a second pair.
+    const TWO_BY_FOUR: [&str; 8] = [
+        "bwaves3d",
+        "rand_access",
+        "mcf_refine",
+        "povray_rt",
+        "lbm_fluid",
+        "rand_access2",
+        "omnet_events",
+        "gobmk_ai",
+    ];
+
+    #[test]
+    fn governed_clean_two_domain_run_matches_ungoverned() {
+        let mk = || system_on(2, &TWO_BY_FOUR);
+        let mut plain = Driver::new(mk(), Mechanism::Cbp, ControllerConfig::quick());
+        let mut gov = Driver::new(mk(), Mechanism::Cbp, ControllerConfig::quick())
+            .with_governor(GovernorConfig::new(9));
+        assert_eq!(gov.governors().len(), 2, "one governor per CAT domain");
+        plain.run_total(1_200_000);
+        gov.run_total(1_200_000);
+        let (ra, rb) = (plain.take_records(), gov.take_records());
+        assert_eq!(ra.len(), rb.len());
+        assert!(rb.iter().any(|r| r.domain == Some(1)));
+        for (a, b) in ra.iter().zip(&rb) {
+            assert_eq!(a.to_json_line("cell"), b.to_json_line("cell"));
+            assert!(b.governor.is_empty());
+        }
+    }
+
+    #[test]
+    fn rollback_on_one_domain_restores_only_that_domain() {
+        let mut drv =
+            Driver::new(system_on(2, &TWO_BY_FOUR), Mechanism::CmmA, ControllerConfig::quick())
+                .with_governor(GovernorConfig::new(1));
+        drv.run_total(900_000);
+        // Arm domain 1's governor only: a fault was observed and its
+        // last-known-good hm_ipc is implausibly high.
+        let g = &mut drv.governors[1];
+        g.accept(1e6);
+        g.observe_faults(
+            &[FaultRecord {
+                cycle: 0,
+                kind: "msr_rejected",
+                core: Some(0),
+                msr: Some(0x1A4),
+                action: "retry_ok",
+            }],
+            0,
+        );
+        // A distinctive last-good state: flat cache, every prefetcher off.
+        let full = (1u64 << drv.system().llc_ways()) - 1;
+        let snapshot = vec![CoreControl { clos: 0, way_mask: full, msr_1a4: 0xF, mba_level: 0 }; 4];
+        drv.governors[1].note_snapshot(snapshot.clone());
+        drv.system_mut().run(100_000);
+        drv.epoch();
+        let recs = drv.records();
+        let (d0, d1) = (&recs[recs.len() - 2], &recs[recs.len() - 1]);
+        assert_eq!((d0.domain, d1.domain), (Some(0), Some(1)));
+        // Domain 1 rolled back: no re-plan, its snapshot back in force.
+        assert!(d1.governor.iter().any(|e| e.action == "rollback"), "{:?}", d1.governor);
+        assert!(d1.faults.iter().any(|f| f.action == "kept_last_good"));
+        assert!(d1.cores.is_empty() && d1.trials.is_empty());
+        assert_eq!(d1.applied, snapshot);
+        assert_eq!(drv.governors()[1].rollbacks(), 1);
+        // Domain 0 re-planned from a fresh detection, and the restore did
+        // not touch its cores or its socket's CLOS masks.
+        assert!(d0.governor.is_empty(), "{:?}", d0.governor);
+        assert_eq!(drv.governors()[0].rollbacks(), 0);
+        assert_eq!(d0.cores.len(), 4);
+        assert!(!d0.agg.is_empty());
+        let sys = drv.system();
+        assert_eq!(d0.applied, sys.control_state()[..4].to_vec());
+        assert_eq!(d1.applied, sys.control_state()[4..].to_vec());
+        assert!(d0.agg.iter().all(|&c| sys.effective_mask(c) != full), "aggressors partitioned");
+    }
+
+    #[test]
+    fn pmu_anomaly_quarantines_the_core_in_its_own_domain_only() {
+        let mk = || system_on(2, &TWO_BY_FOUR);
+        let mut reference = Driver::new(mk(), Mechanism::CmmA, ControllerConfig::quick());
+        reference.system_mut().run(600_000);
+        reference.epoch();
+        let agg_of = |recs: &[EpochRecord], d| {
+            recs.iter().rev().find(|r| r.domain == Some(d)).unwrap().agg.clone()
+        };
+        // Local core 1 is an aggressor on both sockets.
+        assert!(agg_of(reference.records(), 0).contains(&1));
+        assert!(agg_of(reference.records(), 1).contains(&1));
+
+        let mut drv = Driver::new(mk(), Mechanism::CmmA, ControllerConfig::quick())
+            .with_governor(GovernorConfig::new(1));
+        drv.system_mut().run(600_000);
+        // A machine-wide fault stream naming global core 5, routed and fed
+        // to the governors the way the epoch does.
+        let mut log = vec![FaultRecord {
+            cycle: 0,
+            kind: "pmu_anomaly",
+            core: Some(5),
+            msr: None,
+            action: "zeroed_sample",
+        }];
+        let mut dom_logs = vec![Vec::new(); 2];
+        route_faults(&mut log, &mut dom_logs, 4);
+        let events: Vec<Vec<GovernorEvent>> = (0..2)
+            .map(|d| drv.govern_faults(Domain { d, base: d * 4, len: 4 }, &dom_logs[d], 0))
+            .collect();
+        assert!(events[0].is_empty(), "{:?}", events[0]);
+        assert_eq!(events[1].len(), 1);
+        assert_eq!((events[1][0].action, events[1][0].core), ("quarantine", Some(1)));
+        assert!(drv.governors()[1].quarantined(1));
+        assert!((0..4).all(|c| !drv.governors()[0].quarantined(c)));
+        // Next epoch: domain 1's local core 1 keeps its last trusted
+        // (empty) classification, domain 0's core 1 is classified afresh.
+        drv.epoch();
+        assert!(agg_of(drv.records(), 0).contains(&1));
+        assert!(!agg_of(drv.records(), 1).contains(&1));
+    }
+
+    #[test]
+    fn pt_fine_caps_every_domain_at_nine_trials() {
+        // Socket 1 runs three streams next to a random walker, so its Agg
+        // set outgrows PT-fine's per-core grouping.
+        let names = [
+            "bwaves3d",
+            "rand_access",
+            "mcf_refine",
+            "povray_rt",
+            "lbm_fluid",
+            "libq_stream",
+            "bwaves3d",
+            "rand_access2",
+        ];
+        let mut drv =
+            Driver::new(system_on(2, &names), Mechanism::PtFine, ControllerConfig::quick());
+        drv.system_mut().run(600_000);
+        drv.run_total(600_000);
+        let recs = drv.records();
+        assert!(
+            recs.iter().any(|r| r.agg.len() >= 3),
+            "some domain must detect 3+ aggressors: {:?}",
+            recs.iter().map(|r| r.agg.clone()).collect::<Vec<_>>()
+        );
+        for r in recs {
+            assert!(r.trials.len() <= 9, "domain {:?}: {} trials", r.domain, r.trials.len());
         }
     }
 }

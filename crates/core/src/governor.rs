@@ -4,7 +4,9 @@
 //! the plan runs for a whole execution epoch even if it regresses the
 //! machine, and the driver trusts PMU readings the fault model shows can
 //! be garbage. [`Governor`] wraps any mechanism the
-//! [`crate::driver::Driver`] runs with four cooperating defenses:
+//! [`crate::driver::Driver`] runs with four cooperating defenses, one
+//! governor per CAT domain (each with its own snapshot, quarantine and
+//! breakers, so a fault on one socket never rolls back or gates another):
 //!
 //! 1. **Apply-then-verify with rollback** — the driver snapshots the
 //!    control state ([`cmm_sim::system::CoreControl`] per core) before
@@ -146,8 +148,9 @@ struct Breaker {
     trips: u32,
 }
 
-/// The governor state machine. One instance wraps one driver; all state
-/// advances deterministically from the observed fault stream.
+/// The governor state machine. The driver holds one instance per CAT
+/// domain, fed that domain's fault stream with domain-local core ids; all
+/// state advances deterministically from the observed fault stream.
 #[derive(Debug, Clone)]
 pub struct Governor {
     cfg: GovernorConfig,
@@ -174,7 +177,8 @@ pub struct Governor {
 }
 
 impl Governor {
-    /// A governor for a `num_cores`-core machine.
+    /// A governor for one CAT domain of `num_cores` cores, addressed by
+    /// domain-local ids.
     pub fn new(cfg: GovernorConfig, num_cores: usize) -> Self {
         let rng = cfg.seed;
         Governor {
@@ -388,14 +392,17 @@ impl Governor {
     }
 }
 
-/// Reinstates a captured control state: per core, the prefetcher MSR
-/// image, CLOS association + way mask, and the MBA level. Best-effort —
-/// a register that faults during restore is skipped (the breaker state
-/// machine will see its fault records like any other write's).
-pub fn restore<S: Substrate>(sys: &mut S, state: &[CoreControl]) {
-    for (core, ctl) in state.iter().enumerate() {
+/// Reinstates a CAT domain's captured control state: per core, the
+/// prefetcher MSR image, CLOS association + way mask, and the MBA level.
+/// `state[i]` belongs to core `base + i`; the CLOS masks are written via
+/// `base`, so they land on that core's socket. Best-effort — a register
+/// that faults during restore is skipped (the breaker state machine will
+/// see its fault records like any other write's).
+pub fn restore<S: Substrate>(sys: &mut S, base: usize, state: &[CoreControl]) {
+    for (i, ctl) in state.iter().enumerate() {
+        let core = base + i;
         let _ = sys.write_msr(core, MSR_MISC_FEATURE_CONTROL, ctl.msr_1a4);
-        let _ = sys.set_clos_mask(ctl.clos, ctl.way_mask);
+        let _ = sys.write_msr(base, IA32_L3_QOS_MASK_BASE + ctl.clos as u32, ctl.way_mask);
         let _ = sys.assign_clos(core, ctl.clos);
         let _ = sys.set_mba_throttle(core, ctl.mba_level);
     }
@@ -666,7 +673,7 @@ mod tests {
         Substrate::assign_clos(&mut sys, 1, 1).unwrap();
         Substrate::set_mba_throttle(&mut sys, 1, 40).unwrap();
         assert_ne!(Substrate::control_state(&sys), clean);
-        restore(&mut sys, &clean);
+        restore(&mut sys, 0, &clean);
         assert_eq!(Substrate::control_state(&sys), clean);
     }
 }

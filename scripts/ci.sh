@@ -293,10 +293,11 @@ smoke_scale() {
         return 1
     fi
     grep -q 'topology mismatch' "$tmp/scale-diff.err"
-    # learn/faults/governor run single-socket machines: a multi-socket
-    # --topology exits 2 before any simulation, so nothing is journaled.
+    # learn/faults/governor/extension/ablate run single-socket machines: a
+    # multi-socket --topology exits 2 before any simulation, so nothing is
+    # journaled.
     local t rc
-    for t in learn faults governor; do
+    for t in learn faults governor extension ablate; do
         rc=0
         ./target/release/repro "$t" --quick --topology 2x8 \
             --bench-json "$tmp/BENCH_refuse.json" --journal "$tmp/refuse.jsonl" \
