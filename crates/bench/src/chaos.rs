@@ -37,6 +37,20 @@ pub enum ChaosMode {
     Hang,
 }
 
+impl std::str::FromStr for ChaosMode {
+    type Err = String;
+
+    /// Parses the `--chaos-mode` value: `transient`, `persistent` or `hang`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "transient" => Ok(ChaosMode::Transient),
+            "persistent" => Ok(ChaosMode::Persistent),
+            "hang" => Ok(ChaosMode::Hang),
+            other => Err(format!("unknown chaos mode '{other}'")),
+        }
+    }
+}
+
 /// An armed chaos schedule.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {

@@ -278,6 +278,47 @@ pub fn render(deltas: &[Delta], noise: f64) -> String {
     )
 }
 
+/// `repro bench-compare <baseline> <current>`: exit 0 when within noise,
+/// 1 on any regression (or missing target); a load or parse error is
+/// returned for the CLI to report with exit 2. `scps_floor` is the hard
+/// floor on each current target's `sim_cycles_per_s` (the CI `smoke_perf`
+/// gate).
+pub fn run(
+    base_path: &str,
+    cur_path: &str,
+    noise: f64,
+    scps_floor: Option<f64>,
+) -> Result<i32, String> {
+    let load = |p: &str| load_doc(Path::new(p)).map_err(|e| format!("bench-compare: {e}"));
+    let (base, cur) = (load(base_path)?, load(cur_path)?);
+    if base.quick != cur.quick {
+        eprintln!(
+            "bench-compare: warning: comparing quick={} against quick={}",
+            base.quick, cur.quick
+        );
+    }
+    let deltas = compare(&base, &cur, noise);
+    print!("{}", render(&deltas, noise));
+    let mut failed = false;
+    if any_regression(&deltas) {
+        eprintln!("bench-compare: REGRESSION over {base_path}");
+        failed = true;
+    }
+    // The absolute throughput gate on the *current* log (the relative
+    // sim-cyc/s column stays advisory).
+    if let Some(floor) = scps_floor {
+        for (name, scps) in below_scps_floor(&cur, floor) {
+            eprintln!(
+                "bench-compare: {name}: {:.1}M sim-cycles/s below the {:.1}M floor",
+                scps / 1e6,
+                floor / 1e6
+            );
+            failed = true;
+        }
+    }
+    Ok(i32::from(failed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

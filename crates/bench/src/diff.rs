@@ -186,6 +186,45 @@ pub fn diff(a: &Decisions, b: &Decisions) -> DiffReport {
     rep
 }
 
+/// `repro journal-diff <a> <b>`: exit 0 when the decision sequences are
+/// identical, 1 on divergence; a read or parse error, or journals of
+/// different topologies or schemas, are returned for the CLI to report
+/// with exit 2.
+pub fn run(a_path: &str, b_path: &str) -> Result<i32, String> {
+    let load = |p: &str| -> Result<Decisions, String> {
+        let text =
+            std::fs::read_to_string(p).map_err(|e| format!("journal-diff: read {p}: {e}"))?;
+        parse_decisions(&text).map_err(|e| format!("journal-diff: {p}: {e}"))
+    };
+    let (a, b) = (load(a_path)?, load(b_path)?);
+    // Different machine shapes produce per-domain decision sequences that
+    // cannot line up; refuse rather than report spurious divergences.
+    if a.topology != b.topology {
+        let show = |t: &Option<String>| t.clone().unwrap_or_else(|| "single-socket".into());
+        return Err(format!(
+            "journal-diff: topology mismatch: {a_path} is {} but {b_path} is {}; \
+             re-run both journals on the same --topology to compare decisions",
+            show(&a.topology),
+            show(&b.topology)
+        ));
+    }
+    // A /4 journal records a third resource (MBA delay levels) that
+    // earlier schemas cannot express; a same-schema journal with different
+    // decisions is a real divergence, but a cross-schema pair would only
+    // report the schema gap dressed up as decision drift. Refuse outright,
+    // like the topology gate above.
+    if a.schema != b.schema {
+        return Err(format!(
+            "journal-diff: schema mismatch: {a_path} is {} but {b_path} is {}; \
+             re-record both journals under the same schema to compare decisions",
+            a.schema, b.schema
+        ));
+    }
+    let rep = diff(&a, &b);
+    print!("{}", rep.render(a_path, b_path));
+    Ok(i32::from(!rep.identical()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -506,6 +506,25 @@ fn csv_field(s: &str) -> String {
     }
 }
 
+/// `repro journal-summary <journal.jsonl> [--csv PATH]`: prints the
+/// summary and, with `csv`, also exports the journal's per-epoch telemetry
+/// (epoch, mechanism, exec hm_ipc and delta, fault count, degraded flag)
+/// as a plottable CSV. Exit 0; a read, parse or write error is returned for
+/// the CLI to report with exit 2.
+pub fn run_summary(path: &str, csv: Option<&Path>) -> Result<i32, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("journal-summary: read {path}: {e}"))?;
+    let fail = |e: String| format!("journal-summary: {path}: {e}");
+    print!("{}", summarize(&text).map_err(fail)?);
+    if let Some(csv_path) = csv {
+        let rows = epochs_csv(&text).map_err(fail)?;
+        write_atomic(csv_path, rows.as_bytes())
+            .map_err(|e| format!("journal-summary: write {}: {e}", csv_path.display()))?;
+        eprintln!("[repro] wrote {} ({} epoch rows)", csv_path.display(), rows.lines().count() - 1);
+    }
+    Ok(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -293,11 +293,11 @@ smoke_scale() {
         return 1
     fi
     grep -q 'topology mismatch' "$tmp/scale-diff.err"
-    # learn/faults/governor/extension/ablate run single-socket machines: a
+    # The single-socket targets (and `all`, which runs table1..fig5): a
     # multi-socket --topology exits 2 before any simulation, so nothing is
     # journaled.
     local t rc
-    for t in learn faults governor extension ablate; do
+    for t in learn faults governor extension ablate table1 fig1 fig2 fig3 fig5 all; do
         rc=0
         ./target/release/repro "$t" --quick --topology 2x8 \
             --bench-json "$tmp/BENCH_refuse.json" --journal "$tmp/refuse.jsonl" \
@@ -309,6 +309,18 @@ smoke_scale() {
         grep -q 'runs on one socket only' "$tmp/topology-refuse.err"
     done
     [ ! -e "$tmp/refuse.jsonl" ]
+    # table1 runs through the non-resumable roster map: --resume is refused
+    # (exit 2) before any sidecar is created.
+    rc=0
+    ./target/release/repro table1 --quick --resume "$tmp/refuse.ckpt" \
+        --bench-json "$tmp/BENCH_refuse.json" --journal "$tmp/refuse.jsonl" \
+        > /dev/null 2> "$tmp/resume-refuse.err" || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "repro table1 --resume exited $rc, not 2" >&2
+        return 1
+    fi
+    grep -q 'does not take --resume' "$tmp/resume-refuse.err"
+    [ ! -e "$tmp/refuse.ckpt" ] && [ ! -e "$tmp/refuse.jsonl" ]
 }
 step "repro smoke_scale (1x8 golden diff, 2x16 determinism, /3 journal, topology refusal)" smoke_scale
 
